@@ -36,12 +36,12 @@
 use spnn_engine::cache::{default_cache_dir, gc, list_entries, ContextCache, GcLimits};
 use spnn_engine::exec::{
     install_signal_handlers, run_distributed, BreakerConfig, CancelToken, ExecContext, Executor,
-    LocalExecutor, RemoteExecutor, SpawnExecutor, WeightSource, WorkerBreakers,
+    RemoteExecutor, SpawnExecutor, WeightSource, WorkerBreakers,
 };
 use spnn_engine::metrics::{self, Reading};
 use spnn_engine::prelude::*;
 use spnn_engine::rowcache::{self, RowCache};
-use spnn_engine::runner::{run_scenario_shard_with, run_scenario_with, EngineError};
+use spnn_engine::runner::{run_scenario_slice_with, run_scenario_with, EngineError};
 use spnn_engine::serve::{assemble_report, QuotaConfig, RequestBudget, Server};
 use spnn_engine::trace;
 use std::io::Read as _;
@@ -546,7 +546,9 @@ fn cmd_run(args: &[String]) -> ExitCode {
                 Ok(exe) => Some(Box::new(SpawnExecutor { exe })),
                 Err(e) => return fail(&format!("locating the spnn binary: {e}")),
             },
-            (Some("local"), false) => Some(Box::new(LocalExecutor)),
+            (Some("local"), false) => Some(Box::new(
+                RemoteExecutor::new(vec![]).with_local_peers(shards),
+            )),
             (Some(other), _) => {
                 return fail(&format!("unknown executor {other:?} (local|spawn)"));
             }
@@ -585,7 +587,8 @@ fn cmd_run(args: &[String]) -> ExitCode {
         if option_value(args, "--format").is_some_and(|f| f != "json") {
             return fail("partial reports are always JSON; drop --format or use --format json");
         }
-        let partial = match run_scenario_shard_with(&specs[0], &config, &cache, shards, index) {
+        let slice = Slice::Shard { shards, index };
+        let partial = match run_scenario_slice_with(&specs[0], &config, &cache, slice) {
             Ok(p) => p,
             Err(e) => return fail(&e.to_string()),
         };

@@ -10,23 +10,22 @@
 //!
 //! - [`Executor`] — "run all `k` shards of this spec, hand me each
 //!   [`PartialReport`] as it completes, in whatever order they finish."
-//! - [`LocalExecutor`] — today's in-process threaded path: prepares the
-//!   scenario **once** (training comes from the shared
-//!   [`ContextCache`] — the pre-warm lives at this seam now) and runs
-//!   every slice on its own thread.
 //! - [`SpawnExecutor`] — the `spnn run --shards k --spawn` child-process
 //!   launcher, moved out of the CLI into the library: canonical spec
 //!   text in a scratch directory, cache pre-warmed by the parent, cores
 //!   split across children.
-//! - [`RemoteExecutor`] — `POST`s the canonical spec text plus the shard
-//!   coordinates to worker `spnn serve` instances
+//! - [`RemoteExecutor`] — `POST`s the canonical spec text plus the
+//!   [`Slice`] coordinates to worker `spnn serve` instances
 //!   (`POST /shard?shards=k&index=i`, see [`crate::serve`]) over the
 //!   dependency-free HTTP client in [`crate::http`]. A worker that
 //!   fails — refused connection, mid-run crash, torn response — is
 //!   retried on the next worker; the shard planner is deterministic, so
 //!   any worker can recompute any slice. It is also the **fleet**
 //!   executor: [`RemoteExecutor::with_local_peers`] adds in-process
-//!   peers to the same plan (mixed dispatch),
+//!   peers to the same plan (mixed dispatch) — with no remote workers at
+//!   all it is the in-process threaded path (`spnn run --exec local`),
+//!   preparing the scenario **once** and running every slice on its own
+//!   thread,
 //!   [`RemoteExecutor::with_weights`] slices the round space
 //!   proportionally to measured capacity (see [`WeightSource`]), and
 //!   [`RemoteExecutor::with_steal`] re-dispatches the slowest
@@ -52,13 +51,13 @@
 use crate::cache::ContextCache;
 use crate::http::{self, FetchResponse};
 use crate::metrics::{self, MetricsRegistry, Reading};
-use crate::rowcache::{RowContext, RowManifest};
+use crate::rowcache::RowContext;
 use crate::runner::{
-    execute_blocks, execute_shard_blocks, prepare, replay_cached_scenario, EngineConfig,
-    EngineError, EngineReport, StreamEvent,
+    execute_partial, prepare, put_manifest, replay_cached_scenario, EngineConfig, EngineError,
+    EngineReport, StreamEvent,
 };
 use crate::shard::{
-    plan_span, queue_fingerprint_with, weighted_span, MergeError, MergeState, PartialReport,
+    plan_span, queue_fingerprint_with, weighted_span, MergeError, MergeState, PartialReport, Slice,
 };
 use crate::spec::ScenarioSpec;
 use crate::tevent;
@@ -196,10 +195,10 @@ pub struct ExecContext<'a> {
     /// Execution knobs (threads, verbosity, cache directory) — like
     /// everywhere else in the engine, nothing here may change results.
     pub config: &'a EngineConfig,
-    /// The trained-context cache. [`LocalExecutor`] trains/loads through
-    /// it once before fan-out; [`SpawnExecutor`] pre-warms it so child
-    /// processes all load instead of training `k` times; workers reached
-    /// by [`RemoteExecutor`] have their own.
+    /// The trained-context cache. The local peers of a
+    /// [`RemoteExecutor`] train/load through it once before fan-out;
+    /// [`SpawnExecutor`] pre-warms it so child processes all load instead
+    /// of training `k` times; remote workers have their own.
     pub cache: &'a ContextCache,
     /// Cooperative cancellation (see [`CancelToken`]).
     pub cancel: &'a CancelToken,
@@ -288,91 +287,6 @@ fn threads_per_shard(config: &EngineConfig, shards: usize) -> Option<usize> {
             .ok()
             .map(|n| (n.get() / shards.max(1)).max(1))
     })
-}
-
-// ---------------------------------------------------------------------------
-// LocalExecutor
-// ---------------------------------------------------------------------------
-
-/// In-process execution: prepares the scenario once (one training/cache
-/// load, one queue compilation) and runs every shard slice on its own
-/// thread — the executor form of the engine's original threaded path.
-///
-/// With `shards == 1` this is exactly `spnn run`'s single-process
-/// behavior routed through the shard+merge machinery; the merged report
-/// is byte-identical either way (pinned by tests).
-#[derive(Debug, Clone, Default)]
-pub struct LocalExecutor;
-
-impl Executor for LocalExecutor {
-    fn name(&self) -> &'static str {
-        "local"
-    }
-
-    fn execute(
-        &self,
-        spec: &ScenarioSpec,
-        shards: usize,
-        ctx: &ExecContext<'_>,
-        deliver: &mut dyn FnMut(PartialReport) -> bool,
-    ) -> Result<(), ExecError> {
-        if ctx.cancel.is_cancelled() {
-            return Err(ExecError::Cancelled);
-        }
-        // Prepare once: the trained context materializes here (cache or
-        // fresh), before any fan-out — the pre-warm IS the preparation.
-        let prep = prepare(spec, ctx.config, ctx.cache)?;
-        let kernel = ctx.config.kernel;
-        let fp = queue_fingerprint_with(spec, kernel);
-        let threads = threads_per_shard(ctx.config, shards);
-        let verbose = ctx.config.verbose;
-        let cancelled = AtomicBool::new(false);
-        let rctx = ctx
-            .config
-            .row_cache
-            .as_ref()
-            .map(|rc| (rc.as_ref(), RowContext::of_spec_with(spec, kernel)));
-
-        let (tx, rx) = mpsc::channel::<PartialReport>();
-        std::thread::scope(|scope| {
-            for index in 0..shards {
-                let tx = tx.clone();
-                let prep = &prep;
-                let fp = fp.clone();
-                let cancelled = &cancelled;
-                let cancel = ctx.cancel;
-                let rctx = &rctx;
-                scope.spawn(move || {
-                    if cancel.is_cancelled() {
-                        cancelled.store(true, Ordering::Relaxed);
-                        return;
-                    }
-                    let registry = &ctx.config.metrics;
-                    let partial = execute_shard_blocks(
-                        prep,
-                        fp,
-                        kernel,
-                        shards,
-                        index,
-                        threads,
-                        verbose,
-                        registry,
-                        rctx.as_ref().map(|(rc, c)| (*rc, c)),
-                    );
-                    let _ = tx.send(partial);
-                });
-            }
-            drop(tx);
-            for partial in rx {
-                let _ = deliver(partial);
-            }
-        });
-        if cancelled.load(Ordering::Relaxed) {
-            return Err(ExecError::Cancelled);
-        }
-        crate::runner::persist_context(ctx.cache, &prep, verbose);
-        Ok(())
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -972,7 +886,10 @@ impl RemoteExecutor {
 
     /// Adds `n` in-process peers to the plan (mixed dispatch): they rank
     /// after the remote workers in peer order, prepare the scenario once
-    /// between them, and split this machine's cores evenly.
+    /// between them, and split this machine's cores evenly. Without
+    /// remote workers this is the in-process threaded executor
+    /// (`spnn run --shards n --exec local`): with equal weights peer `i`
+    /// runs exactly [`crate::shard::plan_shard`]'s slice `i` of `n`.
     #[must_use]
     pub fn with_local_peers(mut self, n: usize) -> Self {
         self.local_peers = n;
@@ -1007,67 +924,10 @@ impl RemoteExecutor {
         self.local_peers == 0 && !self.steal && self.weights_from == WeightSource::Equal
     }
 
-    /// Runs one shard, trying each worker at most once starting at
-    /// `shard_index mod n`. Returns the partial or the per-worker
-    /// failure log.
-    #[allow(clippy::too_many_arguments)] // dispatch coordinates plus observability handles
-    fn run_shard(
-        &self,
-        spec_text: &str,
-        expected_fp: &str,
-        kernel: KernelProfile,
-        shards: usize,
-        shard_index: usize,
-        cancel: &CancelToken,
-        verbose: bool,
-        registry: &MetricsRegistry,
-    ) -> Result<PartialReport, String> {
-        self.dispatch(
-            spec_text,
-            expected_fp,
-            &format!(
-                "shards={shards}&index={shard_index}{}",
-                kernel_query_suffix(kernel)
-            ),
-            &format!("shard {shard_index}/{shards}"),
-            shard_index,
-            cancel,
-            verbose,
-            registry,
-        )
-    }
-
-    /// Runs the round-space span `[lo, hi)` (`POST /shard?span=LO-HI`),
-    /// starting the worker rotation at `start` — a stealer re-dispatches
-    /// on its own worker first.
-    #[allow(clippy::too_many_arguments)] // dispatch coordinates plus observability handles
-    fn run_span(
-        &self,
-        spec_text: &str,
-        expected_fp: &str,
-        kernel: KernelProfile,
-        lo: usize,
-        hi: usize,
-        start: usize,
-        cancel: &CancelToken,
-        verbose: bool,
-        registry: &MetricsRegistry,
-    ) -> Result<PartialReport, String> {
-        self.dispatch(
-            spec_text,
-            expected_fp,
-            &format!("span={lo}-{hi}{}", kernel_query_suffix(kernel)),
-            &format!("span {lo}..{hi}"),
-            start,
-            cancel,
-            verbose,
-            registry,
-        )
-    }
-
-    /// The shared dispatch loop beneath [`run_shard`](Self::run_shard)
-    /// and [`run_span`](Self::run_span): tries each worker at most once,
-    /// round-robin from `start`, skipping open breakers.
+    /// Runs one [`Slice`] on a worker: tries each worker at most once,
+    /// round-robin from `start` (a shard starts at its own index, a
+    /// stealer on its own worker), skipping open breakers. Returns the
+    /// partial or the per-worker failure log.
     ///
     /// Every attempt — successful or not — is counted in
     /// `spnn_shard_dispatch_total{worker,outcome}` and timed in
@@ -1080,13 +940,15 @@ impl RemoteExecutor {
         &self,
         spec_text: &str,
         expected_fp: &str,
-        query: &str,
-        what: &str,
+        kernel: KernelProfile,
+        slice: Slice,
         start: usize,
         cancel: &CancelToken,
         verbose: bool,
         registry: &MetricsRegistry,
     ) -> Result<PartialReport, String> {
+        let query = format!("{}{}", slice.to_query(), kernel_query_suffix(kernel));
+        let what = &slice.to_string();
         let n = self.workers.len();
         let bytes_streamed = registry.counter(
             "spnn_shard_response_bytes_total",
@@ -1361,11 +1223,11 @@ impl RemoteExecutor {
                 let cancel = ctx.cancel;
                 let registry = &ctx.config.metrics;
                 scope.spawn(move || {
-                    let result = self.run_shard(
+                    let result = self.dispatch(
                         spec_text,
                         expected_fp,
                         kernel,
-                        shards,
+                        Slice::Shard { shards, index },
                         index,
                         cancel,
                         verbose,
@@ -1456,12 +1318,10 @@ impl RemoteExecutor {
         let spec_text = spec.to_text();
         let kernel = ctx.config.kernel;
         let fp = queue_fingerprint_with(spec, kernel);
-        let local_threads = threads_per_shard(ctx.config, self.local_peers.max(1));
-        let rctx = ctx
-            .config
-            .row_cache
-            .as_ref()
-            .map(|rc| (rc.as_ref(), RowContext::of_spec_with(spec, kernel)));
+        let local_config = EngineConfig {
+            threads: threads_per_shard(ctx.config, self.local_peers.max(1)),
+            ..ctx.config.clone()
+        };
         let cancel = ctx.cancel;
 
         let slices: Mutex<Vec<FleetSlice>> = Mutex::new(
@@ -1483,24 +1343,13 @@ impl RemoteExecutor {
         let dispatch_span =
             |me: usize, (lo, hi): (usize, usize)| -> Result<PartialReport, String> {
                 if me < remote {
-                    self.run_span(
-                        &spec_text, &fp, kernel, lo, hi, me, cancel, verbose, registry,
-                    )
+                    let span = Slice::Span { lo, hi };
+                    self.dispatch(&spec_text, &fp, kernel, span, me, cancel, verbose, registry)
                 } else {
                     let prep = prep.as_ref().expect("local peers prepared the scenario");
                     let blocks = plan_span(&rounds_per_point, lo, hi);
-                    Ok(execute_blocks(
-                        prep,
-                        fp.clone(),
-                        kernel,
-                        peers,
-                        me,
-                        &blocks,
-                        local_threads,
-                        verbose,
-                        registry,
-                        rctx.as_ref().map(|(rc, c)| (*rc, c)),
-                    ))
+                    execute_partial(prep, &local_config, (peers, me), &blocks, Some(cancel))
+                        .map_err(|e| format!("local peer {me}: {e}"))
                 }
             };
 
@@ -1603,10 +1452,10 @@ impl RemoteExecutor {
 
 impl Executor for RemoteExecutor {
     fn name(&self) -> &'static str {
-        if self.local_peers > 0 {
-            "fleet"
-        } else {
-            "remote"
+        match (self.workers.len(), self.local_peers) {
+            (0, _) => "local",
+            (_, 0) => "remote",
+            _ => "fleet",
         }
     }
 
@@ -1768,21 +1617,7 @@ pub fn run_distributed(
         Err(e) => return Err(e.into()),
     }
     let report = merge.finalize()?;
-    if let Some(rc) = &ctx.config.row_cache {
-        let rctx = RowContext::of_spec_with(spec, ctx.config.kernel);
-        rc.put_manifest(
-            &queue_fingerprint_with(spec, ctx.config.kernel),
-            RowManifest {
-                scenario: report.scenario.clone(),
-                topologies: report.topologies.clone(),
-                row_keys: report
-                    .rows
-                    .iter()
-                    .map(|r| rctx.key(&r.topology, &r.labels).hex())
-                    .collect(),
-            },
-        );
-    }
+    put_manifest(spec, ctx.config, &report);
     Ok(report)
 }
 
@@ -1897,7 +1732,7 @@ mod tests {
 
     #[test]
     fn all_breakers_open_still_tries_the_rotation() {
-        // With every breaker open, run_shard's candidate filter falls
+        // With every breaker open, dispatch's candidate filter falls
         // back to the full rotation: a dispatch attempt is made (and
         // fails, since nothing listens) rather than failing with zero
         // attempts forever.
@@ -1918,11 +1753,14 @@ mod tests {
         let ex = RemoteExecutor::new(vec![dead.clone()]).with_breakers(Arc::clone(&breakers));
         let cancel = CancelToken::new();
         let err = ex
-            .run_shard(
+            .dispatch(
                 "spec",
                 "fp",
                 KernelProfile::Reference,
-                1,
+                Slice::Shard {
+                    shards: 1,
+                    index: 0,
+                },
                 0,
                 &cancel,
                 false,
@@ -1972,6 +1810,7 @@ mod tests {
             cache: &cache,
             cancel: &cancel,
         };
-        assert!(run_distributed(&spec, &LocalExecutor, 0, &ctx, &mut |_| {}).is_err());
+        let local = RemoteExecutor::new(vec![]).with_local_peers(2);
+        assert!(run_distributed(&spec, &local, 0, &ctx, &mut |_| {}).is_err());
     }
 }

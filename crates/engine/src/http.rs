@@ -58,15 +58,26 @@ impl Request {
         self.path.split('?').next().unwrap_or(&self.path)
     }
 
-    /// The first value of query parameter `key`, if present. Values are
-    /// taken literally (no percent-decoding) — the service's parameters
-    /// are plain tokens (`format=csv`, `shards=3`).
-    pub fn query_param(&self, key: &str) -> Option<&str> {
-        self.path.split_once('?')?.1.split('&').find_map(|pair| {
-            let (k, v) = pair.split_once('=')?;
-            (k == key).then_some(v)
-        })
+    /// The query string (after `?`; empty when there is none).
+    pub(crate) fn query(&self) -> &str {
+        self.path.split_once('?').map_or("", |(_, q)| q)
     }
+
+    /// The first value of query parameter `key`, if present. Values are
+    /// taken literally (no percent-decoding).
+    pub fn query_param(&self, key: &str) -> Option<&str> {
+        query_param(self.query(), key)
+    }
+}
+
+/// The first value of parameter `key` in `query`, if present. Values are
+/// taken literally (no percent-decoding) — the service's parameters are
+/// plain tokens (`format=csv`, `shards=3`).
+pub(crate) fn query_param<'a>(query: &'a str, key: &str) -> Option<&'a str> {
+    query.split('&').find_map(|pair| {
+        let (k, v) = pair.split_once('=')?;
+        (k == key).then_some(v)
+    })
 }
 
 /// Why a request could not be read. [`HttpError::status`] maps each case

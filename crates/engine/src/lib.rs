@@ -12,7 +12,7 @@
 //!   (`*.scn` files, see `scenarios/` at the workspace root).
 //! - [`queue`] — compiles a spec into a flat work queue of fully-resolved
 //!   [`queue::WorkItem`]s (one per sweep point).
-//! - [`batched::TestBatch`] — the batched forward path: each realized
+//! - [`TestBatch`] (from `spnn_core::batched`) — the batched forward path: each realized
 //!   hardware sample's transfer matrices are computed once per iteration
 //!   and the whole test set is pushed through as tiled split-plane
 //!   matrix-matrix products that preserve `CMatrix::mul_vec`'s
@@ -49,10 +49,10 @@
 //!   (`spnn merge`) validates coverage and recombines them into a report
 //!   **bit-identical** to the unsharded run — enforced by CI on every
 //!   push.
-//! - [`exec`] — the Executor layer: [`exec::LocalExecutor`] (in-process
-//!   threads), [`exec::SpawnExecutor`] (child processes), and
-//!   [`exec::RemoteExecutor`] (worker `spnn serve` instances over
-//!   `POST /shard`, with retry-on-another-worker) behind one trait;
+//! - [`exec`] — the Executor layer: [`exec::SpawnExecutor`] (child
+//!   processes) and [`exec::RemoteExecutor`] (worker `spnn serve`
+//!   instances over `POST /shard`, with retry-on-another-worker, plus
+//!   in-process local peers) behind one trait;
 //!   [`exec::run_distributed`] merges partials **as they arrive**
 //!   through [`shard::MergeState`] and streams rows in prefix order —
 //!   byte-identical to the unsharded run for every executor.
@@ -115,7 +115,6 @@
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod batched;
 pub mod cache;
 pub mod estimator;
 pub mod exec;
@@ -133,50 +132,49 @@ pub mod shard;
 pub mod spec;
 pub mod trace;
 
-pub use batched::TestBatch;
 pub use cache::{ContextCache, Fingerprint, TrainedContext};
 pub use estimator::{StopRule, Welford};
 pub use exec::{
     run_distributed, BreakerConfig, BreakerState, CancelToken, DistError, ExecContext, ExecError,
-    Executor, LocalExecutor, RemoteExecutor, SpawnExecutor, WeightSource, WorkerBreakers,
+    Executor, RemoteExecutor, SpawnExecutor, WeightSource, WorkerBreakers,
 };
 pub use metrics::{histogram_quantile, Counter, FloatGauge, Gauge, Histogram, MetricsRegistry};
 pub use queue::WorkItem;
 pub use report::{to_csv, to_json};
 pub use rowcache::{RowCache, RowContext, RowKey};
 pub use runner::{
-    run_point, run_point_range, run_scenario, run_scenario_shard_with, run_scenario_span_with,
-    run_scenario_streaming_cancellable, run_scenario_streaming_with, run_scenario_with,
-    run_scenarios, EngineConfig, EngineReport, PointResult, RangeResult, StreamEvent, SweepRow,
+    run_point, run_point_range, run_scenario, run_scenario_slice_with, run_scenario_streaming_with,
+    run_scenario_with, EngineConfig, EngineReport, PointResult, RangeResult, StreamEvent, SweepRow,
 };
 pub use serve::{assemble_report, AssembleError, QuotaConfig, RequestBudget, ServeConfig, Server};
 pub use shard::{
     merge_partials, plan_shard, plan_shard_weighted, plan_span, queue_fingerprint,
     queue_fingerprint_with, weighted_span, MergeError, MergeState, PartialReport, ShardBlock,
+    Slice, SliceError,
 };
 pub use spec::{ParseError, PlanKind, RunScale, ScenarioSpec};
+pub use spnn_core::batched::TestBatch;
 pub use spnn_core::{detected_tier, KernelProfile, KernelTier};
 pub use trace::{Level, Span};
 
 /// Commonly used items, importable with `use spnn_engine::prelude::*`.
 pub mod prelude {
-    pub use crate::batched::TestBatch;
     pub use crate::cache::{ContextCache, Fingerprint};
     pub use crate::estimator::{StopRule, Welford};
     pub use crate::exec::{
-        run_distributed, CancelToken, ExecContext, Executor, LocalExecutor, RemoteExecutor,
-        SpawnExecutor, WeightSource,
+        run_distributed, CancelToken, ExecContext, Executor, RemoteExecutor, SpawnExecutor,
+        WeightSource,
     };
     pub use crate::metrics::MetricsRegistry;
     pub use crate::presets;
     pub use crate::report::{to_csv, to_json};
     pub use crate::rowcache::{RowCache, RowContext};
     pub use crate::runner::{
-        run_point, run_scenario, run_scenario_shard_with, run_scenario_streaming_with,
-        run_scenario_with, run_scenarios, EngineConfig, EngineReport, StreamEvent, SweepRow,
+        run_point, run_scenario, run_scenario_slice_with, run_scenario_streaming_with,
+        run_scenario_with, EngineConfig, EngineReport, StreamEvent, SweepRow,
     };
     pub use crate::serve::{assemble_report, AssembleError, ServeConfig, Server};
-    pub use crate::shard::{merge_partials, MergeError, MergeState, PartialReport};
+    pub use crate::shard::{merge_partials, MergeError, MergeState, PartialReport, Slice};
     pub use crate::spec::{PlanKind, RunScale, ScenarioSpec};
     pub use spnn_core::{detected_tier, KernelProfile, KernelTier};
 }

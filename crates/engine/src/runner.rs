@@ -17,20 +17,22 @@
 //!    ([`TestBatch::accuracy_with`]), bit-identical to the seed's
 //!    per-sample `mc_accuracy` path.
 //!
-//! Because per-iteration RNGs are position-independent, a run can also be
-//! **sharded**: [`run_scenario_shard_with`] executes only a deterministic
-//! slice of the compiled queue's rounds (see [`crate::shard`]) and writes a
-//! partial report; [`crate::shard::merge_partials`] recombines partials
-//! into a report bit-identical to the unsharded run.
+//! Every in-process execution path shares one block loop
+//! (`execute_blocks`): a full run is one whole-point block per sweep
+//! point, streamed as rows the moment each block finishes. Because
+//! per-iteration RNGs are position-independent, a run can also be
+//! **sliced**: [`run_scenario_slice_with`] executes only a deterministic
+//! [`Slice`] of the compiled queue's rounds (see [`crate::shard`]) and
+//! returns a partial report; [`crate::shard::merge_partials`] recombines
+//! partials into a report bit-identical to the unsharded run.
 
-use crate::batched::TestBatch;
 use crate::cache::ContextCache;
 use crate::estimator::{StopRule, Welford};
 use crate::metrics::{self, MetricsRegistry};
 use crate::queue::{compile, WorkItem};
 use crate::rowcache::{CachedPoint, RowCache, RowContext, RowManifest};
 use crate::shard::{
-    plan_shard, plan_span, queue_fingerprint_with, PartialPoint, PartialReport, ShardBlock,
+    plan_span, queue_fingerprint_with, PartialPoint, PartialReport, ShardBlock, Slice, SliceError,
 };
 use crate::spec::{topology_name, ScenarioSpec};
 use crate::tevent;
@@ -39,7 +41,7 @@ use spnn_core::monte_carlo::iteration_rng;
 use spnn_core::network::SpnnError;
 use spnn_core::{
     BatchScratch, HardwareEffects, KernelProfile, McResult, PerturbationPlan, PhotonicNetwork,
-    RealizeScratch,
+    RealizeScratch, TestBatch,
 };
 use spnn_dataset::{DatasetConfig, SpnnDataset};
 use spnn_linalg::CMatrix;
@@ -111,8 +113,7 @@ pub(crate) fn phase_histogram(
     )
 }
 
-/// Counter handles for the Monte-Carlo sweep, shared by the streaming
-/// driver and the shard executor.
+/// Counter handles for the Monte-Carlo sweep, recorded by the block loop.
 struct SweepCounters {
     rounds_hist: crate::metrics::Histogram,
     points: crate::metrics::Counter,
@@ -195,9 +196,10 @@ pub struct RangeResult {
 /// `first_round .. first_round + rounds`, i.e. iterations
 /// `first_round·round_size .. min(cap, (first_round + rounds)·round_size)`.
 ///
-/// This is the shard-execution primitive. Iteration `k` depends only on
-/// `(seed, k)`, so the samples of any range are bit-identical to the
-/// corresponding slice of an unsharded [`run_point`] run.
+/// This is the engine's primitive: every block a scenario run, shard or
+/// span computes is one call. Iteration `k` depends only on `(seed, k)`,
+/// so the samples of any range are bit-identical to the corresponding
+/// slice of an unsharded [`run_point`] run.
 ///
 /// Adaptive early termination is applied **only when `first_round == 0`**:
 /// stopping decisions at a round boundary require the full sample prefix,
@@ -300,11 +302,9 @@ pub fn run_point_range(
     }
 }
 
-/// Runs one sweep point to completion.
-///
-/// This is the engine's primitive — the spec-level driver
-/// [`run_scenario`] reduces to calls of this function. With
-/// [`StopRule::fixed`]`(n)` the returned `samples` are bit-identical to
+/// Runs one sweep point to completion: the whole-point
+/// [`run_point_range`], aggregated like every row of [`run_scenario`].
+/// With [`StopRule::fixed`]`(n)` the returned `samples` are bit-identical to
 /// `spnn_core::mc_accuracy(network, plan, effects, …, n, seed).samples`.
 ///
 /// # Panics
@@ -437,10 +437,9 @@ pub enum EngineError {
     /// Photonic mapping failed.
     Mapping(SpnnError),
     /// The run was aborted between sweep points by a cancelled
-    /// [`crate::exec::CancelToken`] (request abort, budget violation) —
-    /// see [`run_scenario_streaming_cancellable`]. The caller that
-    /// cancelled the token knows why; this variant only reports that the
-    /// run stopped before completing.
+    /// [`crate::exec::CancelToken`] (request abort, budget violation).
+    /// The caller that cancelled the token knows why; this variant only
+    /// reports that the run stopped before completing.
     Cancelled,
 }
 
@@ -467,9 +466,15 @@ pub(crate) struct PreparedPoint {
 }
 
 /// Everything a scenario run needs after training/mapping and queue
-/// compilation — shared by the full and the sharded drivers.
+/// compilation — shared by the full and the sliced drivers.
 pub(crate) struct PreparedScenario {
     pub(crate) name: String,
+    /// The kernel profile the scenario was prepared (and runs) under.
+    pub(crate) kernel: KernelProfile,
+    /// [`queue_fingerprint_with`] of the spec under `kernel`.
+    pub(crate) queue_fp: String,
+    /// The row cache and this spec's key context, when one is configured.
+    pub(crate) rows: Option<(Arc<RowCache>, RowContext)>,
     pub(crate) batch: TestBatch,
     pub(crate) stop: StopRule,
     pub(crate) round_size: usize,
@@ -584,6 +589,14 @@ pub(crate) fn prepare(
 
     Ok(PreparedScenario {
         name: spec.name.clone(),
+        kernel: config.kernel,
+        queue_fp: queue_fingerprint_with(spec, config.kernel),
+        rows: config.row_cache.as_ref().map(|rc| {
+            (
+                Arc::clone(rc),
+                RowContext::of_spec_with(spec, config.kernel),
+            )
+        }),
         batch,
         stop,
         round_size: spec.round_size,
@@ -634,20 +647,37 @@ pub enum StreamEvent<'a> {
     },
 }
 
-/// Rebuilds a [`SweepRow`] from a cached point's retained sample stream —
-/// the same [`McResult::from_samples`] aggregation as the cold path, so
-/// every statistic is bit-identical to the run that published the point.
-pub(crate) fn row_from_cached(point: &CachedPoint) -> SweepRow {
-    let mc = McResult::from_samples(point.samples.clone());
+/// Builds a [`SweepRow`] from a whole point's sample stream through
+/// [`McResult::from_samples`] — the one aggregation every row goes
+/// through, computed or replayed, so statistics are bit-identical across
+/// paths (and fixed-count rows equal `mc_accuracy` exactly).
+fn row_from_samples(
+    topology: String,
+    labels: Vec<(String, String)>,
+    samples: Vec<f64>,
+    stopped_early: bool,
+) -> SweepRow {
+    let mc = McResult::from_samples(samples);
     SweepRow {
-        topology: point.topology.clone(),
-        labels: point.labels.clone(),
+        topology,
+        labels,
         mean: mc.mean,
         std_dev: mc.std_dev,
         moe95: mc.margin_of_error_95(),
         iterations: mc.samples.len(),
-        stopped_early: point.stopped_early,
+        stopped_early,
     }
+}
+
+/// Rebuilds a [`SweepRow`] from a cached point's retained sample stream,
+/// bit-identical to the run that published the point.
+pub(crate) fn row_from_cached(point: &CachedPoint) -> SweepRow {
+    row_from_samples(
+        point.topology.clone(),
+        point.labels.clone(),
+        point.samples.clone(),
+        point.stopped_early,
+    )
 }
 
 /// Attempts to replay a whole scenario from the row cache alone: the
@@ -692,14 +722,37 @@ pub(crate) fn replay_cached_scenario(
     })
 }
 
+/// Records a finished report's row keys under the spec's queue
+/// fingerprint, so the next identical run replays start to finish
+/// ([`replay_cached_scenario`]). A no-op without a row cache. Shared by
+/// the in-process run and [`crate::exec::run_distributed`].
+pub(crate) fn put_manifest(spec: &ScenarioSpec, config: &EngineConfig, report: &EngineReport) {
+    let Some(rc) = &config.row_cache else {
+        return;
+    };
+    let rctx = RowContext::of_spec_with(spec, config.kernel);
+    rc.put_manifest(
+        &queue_fingerprint_with(spec, config.kernel),
+        RowManifest {
+            scenario: report.scenario.clone(),
+            topologies: report.topologies.clone(),
+            row_keys: report
+                .rows
+                .iter()
+                .map(|r| rctx.key(&r.topology, &r.labels).hex())
+                .collect(),
+        },
+    );
+}
+
 /// Runs a whole scenario: dataset generation, software training, photonic
 /// mapping per topology, queue compilation, and the Monte-Carlo sweep.
 ///
 /// Deterministic: the report is a pure function of `(spec)`; `config` only
 /// affects wall-clock and logging. Training goes through a fresh
 /// [`ContextCache`] built from `config.cache_dir` — use
-/// [`run_scenarios`] (or [`run_scenario_with`] with a shared cache) to
-/// train once across scenarios that share a training fingerprint.
+/// [`run_scenario_with`] with a shared cache to train once across
+/// scenarios that share a training fingerprint.
 ///
 /// # Errors
 ///
@@ -713,31 +766,12 @@ pub fn run_scenario(
     run_scenario_with(spec, config, &cache)
 }
 
-/// Runs several scenarios through one shared trained-context cache:
-/// scenarios with the same training fingerprint (dataset, architecture,
-/// optimizer hyper-parameters, seed) train exactly once.
-///
-/// Reports come back in input order; the run fails fast on the first
-/// scenario error.
-///
-/// # Errors
-///
-/// Returns the first scenario's [`EngineError`], if any.
-pub fn run_scenarios(
-    specs: &[ScenarioSpec],
-    config: &EngineConfig,
-) -> Result<Vec<EngineReport>, EngineError> {
-    let cache = ContextCache::new(config.cache_dir.clone());
-    specs
-        .iter()
-        .map(|spec| run_scenario_with(spec, config, &cache))
-        .collect()
-}
-
 /// Runs one scenario against an explicit trained-context `cache` — the
-/// primitive behind [`run_scenario`] and [`run_scenarios`]. The report is
-/// bit-identical whether the context comes from memory, from disk, or from
-/// a fresh training run.
+/// primitive behind [`run_scenario`]. Scenarios run through one shared
+/// cache with the same training fingerprint (dataset, architecture,
+/// optimizer hyper-parameters, seed) train exactly once. The report is
+/// bit-identical whether the context comes from memory, from disk, or
+/// from a fresh training run.
 ///
 /// # Errors
 ///
@@ -775,37 +809,21 @@ pub fn run_scenario_streaming_with(
     cache: &ContextCache,
     observe: &mut dyn FnMut(StreamEvent<'_>),
 ) -> Result<EngineReport, EngineError> {
-    run_streaming_inner(spec, config, cache, None, observe)
+    run_streaming(spec, config, cache, None, observe)
 }
 
-/// [`run_scenario_streaming_with`] with a cooperative abort: the token is
-/// polled between sweep points, and a cancelled token stops the run with
-/// [`EngineError::Cancelled`] before the next point starts — the seam the
-/// server's per-request budget enforcement cancels through.
+/// The in-process run: replay from the row cache when every row is
+/// resident, otherwise prepare and execute one whole-point block per
+/// sweep point, emitting each row the moment its block finishes.
 ///
-/// Granularity is deliberately the sweep point, not the iteration: a
-/// point in flight always completes, so every row that *was* emitted is
-/// bit-identical to the corresponding row of an uncancelled run, and
-/// already-cached rows stay valid. Note the token observes the
-/// process-wide shutdown flag too (see [`CancelToken::is_cancelled`]);
-/// callers that must let in-flight streams drain through a graceful
-/// shutdown should use [`run_scenario_streaming_with`] instead.
-///
-/// # Errors
-///
-/// As [`run_scenario_streaming_with`], plus [`EngineError::Cancelled`]
-/// when the token is cancelled mid-sweep.
-pub fn run_scenario_streaming_cancellable(
-    spec: &ScenarioSpec,
-    config: &EngineConfig,
-    cache: &ContextCache,
-    cancel: &crate::exec::CancelToken,
-    observe: &mut dyn FnMut(StreamEvent<'_>),
-) -> Result<EngineReport, EngineError> {
-    run_streaming_inner(spec, config, cache, Some(cancel), observe)
-}
-
-fn run_streaming_inner(
+/// `cancel` is polled between sweep points; a cancelled token stops the
+/// run with [`EngineError::Cancelled`] before the next point starts — the
+/// seam the server's per-request budget cancels through. A point in
+/// flight always completes, so every emitted row is bit-identical to the
+/// uncancelled run's. The token also observes the process-wide shutdown
+/// flag, so callers that must drain through a graceful shutdown pass
+/// `None`.
+pub(crate) fn run_streaming(
     spec: &ScenarioSpec,
     config: &EngineConfig,
     cache: &ContextCache,
@@ -818,231 +836,75 @@ fn run_streaming_inner(
         }
     }
     let prep = prepare(spec, config, cache)?;
-    let total = prep.points.len();
     observe(StreamEvent::Started {
         scenario: &prep.name,
-        total_points: total,
+        total_points: prep.points.len(),
     });
     for t in &prep.topologies {
         observe(StreamEvent::Topology(t));
     }
-    let rctx = config
-        .row_cache
-        .as_ref()
-        .map(|rc| (rc, RowContext::of_spec_with(spec, config.kernel)));
-    let mut row_keys = Vec::with_capacity(total);
-    let counters = SweepCounters::new(&config.metrics);
-    let mut rows = Vec::with_capacity(total);
-    for (i, point) in prep.points.iter().enumerate() {
-        if cancel.is_some_and(|c| c.is_cancelled()) {
-            return Err(EngineError::Cancelled);
-        }
-        let key = rctx
-            .as_ref()
-            .map(|(_, ctx)| ctx.key(point.topology, &point.item.labels));
-        if let (Some((rc, _)), Some(key)) = (&rctx, &key) {
-            if let Some(cached) = rc.get(key) {
-                let row = row_from_cached(&cached);
-                observe(StreamEvent::Row {
-                    index: i,
-                    row: &row,
-                });
-                rows.push(row);
-                row_keys.push(key.hex());
-                continue;
-            }
-        }
-        let point_span = Span::start("point", counters.rounds_hist.clone());
-        let r = run_point(
-            &point.hardware,
-            &point.item.plan,
-            &point.item.effects,
-            &prep.batch,
-            &prep.stop,
-            prep.round_size,
-            point.item.seed,
-            config.threads,
-            config.kernel,
+    let rounds = sweep_rounds_per_point(&prep);
+    let blocks = plan_span(&rounds, 0, rounds.iter().sum());
+    let mut rows = Vec::with_capacity(blocks.len());
+    execute_blocks(&prep, config, &blocks, cancel, &mut |block| {
+        let row = row_from_samples(
+            block.topology,
+            block.labels,
+            block.samples,
+            block.stopped_early,
         );
-        let point_elapsed = point_span.finish();
-        counters.record(r.samples.len(), prep.round_size, r.stopped_early);
-        tevent!(
-            Level::Trace,
-            "engine",
-            "point done",
-            scenario = &prep.name,
-            index = i,
-            iterations = r.samples.len(),
-            early_stop = r.stopped_early,
-            seconds = point_elapsed.as_secs_f64(),
-        );
-        if config.verbose {
-            let label_str = point
-                .item
-                .labels
-                .iter()
-                .map(|(k, v)| format!("{k}={v}"))
-                .collect::<Vec<_>>()
-                .join(" ");
-            eprintln!(
-                "[engine] {}/{} point {}/{total} {label_str} → {:.4} (moe {:.4}, {} iters{})",
-                prep.name,
-                point.topology,
-                i + 1,
-                r.mean,
-                r.moe95,
-                r.samples.len(),
-                if r.stopped_early { ", early stop" } else { "" },
-            );
-        }
-        if let (Some((rc, _)), Some(key)) = (&rctx, &key) {
-            rc.put(
-                key,
-                CachedPoint {
-                    topology: point.topology.to_string(),
-                    labels: owned_labels(&point.item),
-                    samples: r.samples.clone(),
-                    stopped_early: r.stopped_early,
-                },
-            );
-            row_keys.push(key.hex());
-        }
-        let row = SweepRow {
-            topology: point.topology.to_string(),
-            labels: owned_labels(&point.item),
-            mean: r.mean,
-            std_dev: r.std_dev,
-            moe95: r.moe95,
-            iterations: r.samples.len(),
-            stopped_early: r.stopped_early,
-        };
         observe(StreamEvent::Row {
-            index: i,
+            index: block.index,
             row: &row,
         });
         rows.push(row);
-    }
-
-    if let Some((rc, _)) = &rctx {
-        rc.put_manifest(
-            &queue_fingerprint_with(spec, config.kernel),
-            RowManifest {
-                scenario: prep.name.clone(),
-                topologies: prep.topologies.clone(),
-                row_keys,
-            },
-        );
-    }
-
-    persist_context(cache, &prep, config.verbose);
-
-    Ok(EngineReport {
-        scenario: prep.name,
-        topologies: prep.topologies,
+    })?;
+    let report = EngineReport {
+        scenario: prep.name.clone(),
+        topologies: prep.topologies.clone(),
         rows,
-    })
-}
-
-/// Runs shard `shard_index` of a `shards`-way split of a scenario and
-/// returns the partial report covering exactly that slice of the global
-/// work queue's rounds (see [`crate::shard`] for the plan, the format,
-/// and the merge semantics).
-///
-/// Every shard independently prepares the scenario (training comes from
-/// the shared cache when available) and executes only its assigned round
-/// ranges. Merging all `shards` partials with
-/// [`crate::shard::merge_partials`] yields a report bit-identical to
-/// [`run_scenario_with`] — pinned by tests and by the CI `shard-merge`
-/// job.
-///
-/// # Errors
-///
-/// Returns [`EngineError::Invalid`] when `shards == 0` or
-/// `shard_index >= shards`, and propagates preparation errors.
-pub fn run_scenario_shard_with(
-    spec: &ScenarioSpec,
-    config: &EngineConfig,
-    cache: &ContextCache,
-    shards: usize,
-    shard_index: usize,
-) -> Result<PartialReport, EngineError> {
-    if shards == 0 {
-        return Err(EngineError::Invalid("shards must be positive".into()));
-    }
-    if shard_index >= shards {
-        return Err(EngineError::Invalid(format!(
-            "shard index {shard_index} out of range for {shards} shard(s)"
-        )));
-    }
-    let prep = prepare(spec, config, cache)?;
-    let rctx = config
-        .row_cache
-        .as_ref()
-        .map(|rc| (rc.as_ref(), RowContext::of_spec_with(spec, config.kernel)));
-    let partial = execute_shard_blocks(
-        &prep,
-        queue_fingerprint_with(spec, config.kernel),
-        config.kernel,
-        shards,
-        shard_index,
-        config.threads,
-        config.verbose,
-        &config.metrics,
-        rctx.as_ref().map(|(rc, ctx)| (*rc, ctx)),
-    );
+    };
+    put_manifest(spec, config, &report);
     persist_context(cache, &prep, config.verbose);
-    Ok(partial)
+    Ok(report)
 }
 
-/// Runs the contiguous unit range `[first_unit, first_unit + units)` of a
-/// scenario's global **round space** and returns the partial report
-/// covering exactly those rounds — the span twin of
-/// [`run_scenario_shard_with`], serving the coordinator's
-/// capacity-weighted plans and work-stealing re-dispatches
-/// (`POST /shard?span=LO-HI`). Any partition of the round space into
-/// spans merges back byte-identical to the unsharded run; overlapping
-/// spans deduplicate (see [`crate::shard::MergeState`]).
+/// Runs one [`Slice`] of a scenario's global round space and returns the
+/// partial report covering exactly those rounds (see [`crate::shard`] for
+/// the plan, the format, and the merge semantics) — the engine behind
+/// `spnn run --shards K --shard-index I` and the worker endpoint
+/// `POST /shard`.
+///
+/// Every slice independently prepares the scenario (training comes from
+/// the shared cache when available) and executes only its blocks. Any
+/// partition of the round space — equal shards, weighted spans,
+/// overlapping work-stealing re-dispatches — merges with
+/// [`crate::shard::merge_partials`] into a report bit-identical to
+/// [`run_scenario_with`], pinned by tests and by the CI `shard-merge` job.
 ///
 /// # Errors
 ///
-/// Returns [`EngineError::Invalid`] when the span is empty or overruns
-/// the round space, and propagates preparation errors.
-pub fn run_scenario_span_with(
+/// Returns [`EngineError::Invalid`] when the slice is malformed or
+/// overruns the round space (see [`Slice::resolve`]), and propagates
+/// preparation errors.
+pub fn run_scenario_slice_with(
     spec: &ScenarioSpec,
     config: &EngineConfig,
     cache: &ContextCache,
-    first_unit: usize,
-    units: usize,
+    slice: Slice,
 ) -> Result<PartialReport, EngineError> {
-    if units == 0 {
-        return Err(EngineError::Invalid("span must be non-empty".into()));
-    }
+    let invalid = |e: SliceError| EngineError::Invalid(e.to_string());
+    slice.check().map_err(invalid)?;
     let prep = prepare(spec, config, cache)?;
-    let rounds_per_point = sweep_rounds_per_point(&prep);
-    let total: usize = rounds_per_point.iter().sum();
-    if first_unit.saturating_add(units) > total {
-        return Err(EngineError::Invalid(format!(
-            "span {first_unit}..{} out of range for a {total}-round queue",
-            first_unit.saturating_add(units)
-        )));
-    }
-    let blocks = plan_span(&rounds_per_point, first_unit, first_unit + units);
-    let rctx = config
-        .row_cache
-        .as_ref()
-        .map(|rc| (rc.as_ref(), RowContext::of_spec_with(spec, config.kernel)));
-    let partial = execute_blocks(
+    let rounds = sweep_rounds_per_point(&prep);
+    let (lo, hi) = slice.resolve(rounds.iter().sum()).map_err(invalid)?;
+    let partial = execute_partial(
         &prep,
-        queue_fingerprint_with(spec, config.kernel),
-        config.kernel,
-        1,
-        0,
-        &blocks,
-        config.threads,
-        config.verbose,
-        &config.metrics,
-        rctx.as_ref().map(|(rc, ctx)| (*rc, ctx)),
-    );
+        config,
+        slice.header(),
+        &plan_span(&rounds, lo, hi),
+        None,
+    )?;
     persist_context(cache, &prep, config.verbose);
     Ok(partial)
 }
@@ -1066,9 +928,10 @@ fn serve_block_from_cache(
     let k_end = cap.min(k_start + rounds * round_size);
     let retained = cached.samples.len();
     if !cached.stopped_early {
-        // Full stream on hand (retained == cap): any slice is exact.
+        // Full stream on hand (retained == cap): any slice is exact. A
+        // shorter stream cannot serve the block; it computes cold.
         return Some(RangeResult {
-            samples: cached.samples[k_start..k_end].to_vec(),
+            samples: cached.samples.get(k_start..k_end)?.to_vec(),
             stopped_early: false,
         });
     }
@@ -1086,102 +949,93 @@ fn serve_block_from_cache(
 }
 
 /// The per-point round count vector of a prepared scenario — the global
-/// round space that [`plan_shard`], [`crate::shard::plan_shard_weighted`]
-/// and [`plan_span`] all slice. Every point carries the same round count
-/// (the iteration cap split into rounds), so peers can compute this
-/// without preparing when the queue length is statically known.
+/// round space that [`plan_shard`](crate::shard::plan_shard),
+/// [`crate::shard::plan_shard_weighted`] and [`plan_span`] all slice.
+/// Every point carries the same round count (the iteration cap split into
+/// rounds), so peers can compute this without preparing when the queue
+/// length is statically known.
 pub(crate) fn sweep_rounds_per_point(prep: &PreparedScenario) -> Vec<usize> {
     let cap = prep.stop.max_iterations;
     vec![cap.div_ceil(prep.round_size); prep.points.len()]
 }
 
-/// Executes shard `shard_index` of a `shards`-way plan over an already
-/// prepared scenario — the primitive shared by the per-process shard
-/// entry point ([`run_scenario_shard_with`]) and by
-/// [`crate::exec::LocalExecutor`], which prepares once and runs every
-/// slice on its own thread.
-#[allow(clippy::too_many_arguments)] // internal primitive shared by two drivers
-pub(crate) fn execute_shard_blocks(
+/// Executes `blocks` over a prepared scenario and collects them into a
+/// partial report whose header records `(shards, shard_index)` (for
+/// diagnostics only; the merge derives coverage from the blocks).
+pub(crate) fn execute_partial(
     prep: &PreparedScenario,
-    queue_fp: String,
-    kernel: KernelProfile,
-    shards: usize,
-    shard_index: usize,
-    threads: Option<usize>,
-    verbose: bool,
-    registry: &MetricsRegistry,
-    row_ctx: Option<(&RowCache, &RowContext)>,
-) -> PartialReport {
-    let blocks = plan_shard(&sweep_rounds_per_point(prep), shards, shard_index);
-    execute_blocks(
-        prep,
-        queue_fp,
-        kernel,
+    config: &EngineConfig,
+    (shards, shard_index): (usize, usize),
+    blocks: &[ShardBlock],
+    cancel: Option<&crate::exec::CancelToken>,
+) -> Result<PartialReport, EngineError> {
+    let mut points = Vec::with_capacity(blocks.len());
+    execute_blocks(prep, config, blocks, cancel, &mut |block| {
+        points.push(block)
+    })?;
+    Ok(PartialReport {
+        scenario: prep.name.clone(),
+        queue_fingerprint: prep.queue_fp.clone(),
+        kernel: prep.kernel,
         shards,
         shard_index,
-        &blocks,
-        threads,
-        verbose,
-        registry,
-        row_ctx,
-    )
+        total_points: prep.points.len(),
+        round_size: prep.round_size,
+        iterations: prep.stop.max_iterations,
+        min_iterations: prep.stop.min_iterations,
+        target_moe: prep.stop.target_moe,
+        topologies: prep.topologies.clone(),
+        points,
+    })
 }
 
-/// Executes an explicit block list over a prepared scenario — the
-/// planner-agnostic primitive beneath [`execute_shard_blocks`] and the
-/// local half of mixed fleet dispatch (arbitrary spans, weighted slices,
-/// stolen sub-spans). `shards`/`shard_index` are recorded in the partial
-/// header for diagnostics only; the merge derives coverage from the
-/// blocks themselves.
-#[allow(clippy::too_many_arguments)] // internal primitive shared by several drivers
+/// The engine's one block loop: every Monte-Carlo round the engine runs
+/// in-process — full runs (one whole-point block per point), shards,
+/// spans, and fleet-local peers — goes through here.
+///
+/// Each block is served from the row cache when possible, otherwise
+/// computed with [`run_point_range`]; a cold prefix block that determined
+/// its whole point is published to the row cache. Finished blocks are
+/// handed to `on_block` in block order, the moment they complete.
+/// `config` supplies threads, verbosity and the metrics registry; the
+/// kernel and row cache are the ones `prep` was prepared under.
+///
+/// # Errors
+///
+/// [`EngineError::Cancelled`] when `cancel` is cancelled, polled before
+/// each block — a block in flight always completes.
 pub(crate) fn execute_blocks(
     prep: &PreparedScenario,
-    queue_fp: String,
-    kernel: KernelProfile,
-    shards: usize,
-    shard_index: usize,
+    config: &EngineConfig,
     blocks: &[ShardBlock],
-    threads: Option<usize>,
-    verbose: bool,
-    registry: &MetricsRegistry,
-    row_ctx: Option<(&RowCache, &RowContext)>,
-) -> PartialReport {
+    cancel: Option<&crate::exec::CancelToken>,
+    on_block: &mut dyn FnMut(PartialPoint),
+) -> Result<(), EngineError> {
     let cap = prep.stop.max_iterations;
-    let counters = SweepCounters::new(registry);
-    let mut points = Vec::with_capacity(blocks.len());
-    for (i, block) in blocks.iter().enumerate() {
+    let counters = SweepCounters::new(&config.metrics);
+    for block in blocks {
+        if cancel.is_some_and(|c| c.is_cancelled()) {
+            return Err(EngineError::Cancelled);
+        }
         let point = &prep.points[block.point];
-        let key = row_ctx
+        let key = prep
+            .rows
             .as_ref()
-            .map(|(_, ctx)| ctx.key(point.topology, &point.item.labels));
-        let served = match (&row_ctx, &key) {
-            (Some((rc, _)), Some(key)) => rc.get(key).and_then(|cached| {
-                serve_block_from_cache(
-                    &cached,
-                    cap,
-                    prep.round_size,
-                    block.first_round,
-                    block.rounds,
-                )
-            }),
-            _ => None,
-        };
-        let from_cache = served.is_some();
-        let r = match served {
-            Some(r) => {
-                tevent!(
-                    Level::Trace,
-                    "rowcache",
-                    "shard block served from row cache",
-                    scenario = &prep.name,
-                    shard = shard_index,
-                    point = block.point,
-                    iterations = r.samples.len(),
-                );
-                r
-            }
+            .map(|(rc, ctx)| (rc, ctx.key(point.topology, &point.item.labels)));
+        let served = key.as_ref().and_then(|(rc, key)| {
+            let cached = rc.get(key)?;
+            serve_block_from_cache(
+                &cached,
+                cap,
+                prep.round_size,
+                block.first_round,
+                block.rounds,
+            )
+        });
+        let (r, seconds) = match served {
+            Some(r) => (r, None),
             None => {
-                let block_span = Span::start("shard_block", counters.rounds_hist.clone());
+                let block_span = Span::start("block", counters.rounds_hist.clone());
                 let r = run_point_range(
                     &point.hardware,
                     &point.item.plan,
@@ -1190,31 +1044,34 @@ pub(crate) fn execute_blocks(
                     &prep.stop,
                     prep.round_size,
                     point.item.seed,
-                    threads,
-                    kernel,
+                    config.threads,
+                    prep.kernel,
                     block.first_round,
                     block.rounds,
                 );
-                let block_elapsed = block_span.finish();
+                let elapsed = block_span.finish();
                 counters.record(r.samples.len(), prep.round_size, r.stopped_early);
-                tevent!(
-                    Level::Trace,
-                    "engine",
-                    "shard block done",
-                    scenario = &prep.name,
-                    shard = shard_index,
-                    point = block.point,
-                    iterations = r.samples.len(),
-                    seconds = block_elapsed.as_secs_f64(),
-                );
-                r
+                (r, Some(elapsed.as_secs_f64()))
             }
         };
+        let from_cache = seconds.is_none();
+        tevent!(
+            Level::Trace,
+            "engine",
+            "block done",
+            scenario = &prep.name,
+            point = block.point,
+            first_round = block.first_round,
+            iterations = r.samples.len(),
+            early_stop = r.stopped_early,
+            from_cache = from_cache,
+            seconds = seconds.unwrap_or(0.0),
+        );
         // A cold prefix block that alone determined the whole point (it
         // stopped early, or it ran every round to the cap) is a complete
         // sample stream — publish it for the next overlapping sweep.
         if !from_cache && block.first_round == 0 && (r.stopped_early || r.samples.len() == cap) {
-            if let (Some((rc, _)), Some(key)) = (&row_ctx, &key) {
+            if let Some((rc, key)) = &key {
                 rc.put(
                     key,
                     CachedPoint {
@@ -1226,24 +1083,33 @@ pub(crate) fn execute_blocks(
                 );
             }
         }
-        if verbose {
-            eprintln!(
-                "[engine] {} shard {shard_index}/{shards}: block {}/{} point {} rounds {}..{} → {} sample(s){}",
-                prep.name,
-                i + 1,
-                blocks.len(),
-                block.point,
-                block.first_round,
-                block.first_round + block.rounds,
-                r.samples.len(),
-                if r.stopped_early { " (early stop)" } else { "" },
-            );
-        }
         let mut est = Welford::new();
         for &s in &r.samples {
             est.push(s);
         }
-        points.push(PartialPoint {
+        if config.verbose {
+            let labels = point
+                .item
+                .labels
+                .iter()
+                .map(|(k, v)| format!("{k}={v}"))
+                .collect::<Vec<_>>()
+                .join(" ");
+            eprintln!(
+                "[engine] {}/{} point {}/{} {labels} rounds {}..{} → {:.4} ({} iters{}{})",
+                prep.name,
+                point.topology,
+                block.point + 1,
+                prep.points.len(),
+                block.first_round,
+                block.first_round + block.rounds,
+                est.mean(),
+                r.samples.len(),
+                if r.stopped_early { ", early stop" } else { "" },
+                if from_cache { ", cached" } else { "" },
+            );
+        }
+        on_block(PartialPoint {
             index: block.point,
             topology: point.topology.to_string(),
             labels: owned_labels(&point.item),
@@ -1254,21 +1120,7 @@ pub(crate) fn execute_blocks(
             samples: r.samples,
         });
     }
-
-    PartialReport {
-        scenario: prep.name.clone(),
-        queue_fingerprint: queue_fp,
-        kernel,
-        shards,
-        shard_index,
-        total_points: prep.points.len(),
-        round_size: prep.round_size,
-        iterations: prep.stop.max_iterations,
-        min_iterations: prep.stop.min_iterations,
-        target_moe: prep.stop.target_moe,
-        topologies: prep.topologies.clone(),
-        points,
-    }
+    Ok(())
 }
 
 #[cfg(test)]

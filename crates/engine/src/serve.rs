@@ -1,8 +1,8 @@
 //! `spnn serve` — a long-lived scenario service that streams Monte-Carlo
 //! results as they are computed.
 //!
-//! The service wraps the engine's streaming driver
-//! ([`crate::runner::run_scenario_streaming_with`]) in a small,
+//! The service wraps the engine's streaming driver (the in-process run
+//! behind [`crate::runner::run_scenario_streaming_with`]) in a small,
 //! dependency-free HTTP front-end ([`crate::http`]): clients `POST` a
 //! scenario spec (the same `.scn` text `spnn run` takes) and receive
 //! **NDJSON** — one JSON object per line — with every sweep point's row
@@ -26,7 +26,7 @@
 //! |---|---|
 //! | `POST /run` | body = scenario spec text; streams NDJSON events |
 //! | `POST /run?format=csv` | same, streaming CSV rows (curl-friendly) |
-//! | `POST /shard?shards=K&index=I` | worker endpoint: run one shard, return its [`crate::shard::PartialReport`] JSON |
+//! | `POST /shard?shards=K&index=I` | worker endpoint: run one shard (or `?span=LO-HI`, see [`Slice`]), return its [`crate::shard::PartialReport`] JSON |
 //! | `GET /healthz` | liveness, uptime, version, role, run/shard counters |
 //! | `GET /cache/stats` | trained-context cache counters and location |
 //! | `GET /metrics` | this server's registry in Prometheus text format |
@@ -109,10 +109,10 @@ use crate::metrics::{self, histogram_quantile, Counter, Gauge, MetricsRegistry, 
 use crate::queue::static_queue_len;
 use crate::report::{csv_header, csv_row, label_keys};
 use crate::runner::{
-    run_scenario_shard_with, run_scenario_span_with, run_scenario_streaming_cancellable,
-    run_scenario_streaming_with, EngineConfig, EngineError, EngineReport, StreamEvent, SweepRow,
-    TopologySummary,
+    run_scenario_slice_with, run_streaming, EngineConfig, EngineError, EngineReport, StreamEvent,
+    SweepRow, TopologySummary,
 };
+use crate::shard::Slice;
 use crate::spec::ScenarioSpec;
 use crate::tevent;
 use crate::trace::Level;
@@ -1400,10 +1400,10 @@ fn handle_run(request: &Request, writer: &mut impl Write, state: &ServerState) -
         }
     };
     // Per-request cancellation seam for the runtime budget meter. The
-    // worker path uses a standalone token: with no budget configured the
-    // non-cancellable runner keeps graceful-shutdown drain semantics
-    // (in-flight streams finish after SIGTERM); with one, only the
-    // meter can trip it. The coordinator path chains off the server
+    // worker path uses a standalone token, polled only when a budget is
+    // configured: without one the run keeps graceful-shutdown drain
+    // semantics (in-flight streams finish after SIGTERM); with one, the
+    // meter trips it. The coordinator path chains off the server
     // token so shutdown still cancels remote dispatch as before.
     let request_cancel = if state.remote_workers.is_empty() {
         CancelToken::new()
@@ -1441,18 +1441,9 @@ fn handle_run(request: &Request, writer: &mut impl Write, state: &ServerState) -
         }
     };
     let result = if state.remote_workers.is_empty() {
-        if state.budget.is_unlimited() {
-            run_scenario_streaming_with(&spec, &state.engine, &state.cache, &mut observe)
-        } else {
-            run_scenario_streaming_cancellable(
-                &spec,
-                &state.engine,
-                &state.cache,
-                &request_cancel,
-                &mut observe,
-            )
-        }
-        .map_err(|e| e.to_string())
+        let cancel = (!state.budget.is_unlimited()).then_some(&request_cancel);
+        run_streaming(&spec, &state.engine, &state.cache, cancel, &mut observe)
+            .map_err(|e| e.to_string())
     } else {
         // Coordinator: one shard per worker, merged as they arrive. The
         // executor retries a failed worker's shard on the next worker,
@@ -1572,8 +1563,10 @@ fn follow_run(
 ///
 /// `POST /shard?span=LO-HI` is the weighted/stealing variant: instead of
 /// an equal 1-of-K slice the coordinator names an explicit half-open
-/// round-space range. Both forms produce overlapping-merge-safe partials
-/// because every iteration's bits depend only on `(seed, k)`.
+/// round-space range. Both forms are one [`Slice`] (parsed, validated
+/// and resolved by it; any malformed query is a `400`) and produce
+/// overlapping-merge-safe partials because every iteration's bits depend
+/// only on `(seed, k)`.
 fn handle_shard(request: &Request, writer: &mut impl Write, state: &ServerState) -> u16 {
     // Test-only chaos hook: an operator-invisible way for the CI chaos
     // job to slow one worker without a proxy. Parsed per-request so the
@@ -1588,41 +1581,9 @@ fn handle_shard(request: &Request, writer: &mut impl Write, state: &ServerState)
         let _ = Response::json(400, body).write_to(writer);
         400
     }
-    // The two query forms are mutually exclusive; `span` wins when both
-    // are present because only the coordinator sends it.
-    let span = match request.query_param("span") {
-        Some(raw) => match raw.split_once('-') {
-            Some((lo, hi)) => match (lo.parse::<usize>(), hi.parse::<usize>()) {
-                (Ok(lo), Ok(hi)) if lo < hi => Some((lo, hi)),
-                (Ok(lo), Ok(hi)) => {
-                    return reject(writer, &format!("span {lo}-{hi} is empty or reversed"));
-                }
-                _ => return reject(writer, "span must be LO-HI with integer bounds"),
-            },
-            None => return reject(writer, "span must be LO-HI with integer bounds"),
-        },
-        None => None,
-    };
-    let shard = if span.is_none() {
-        let param = |key: &str| -> Result<usize, String> {
-            request
-                .query_param(key)
-                .ok_or_else(|| format!("missing query parameter {key:?}"))?
-                .parse::<usize>()
-                .map_err(|_| format!("query parameter {key:?} must be an integer"))
-        };
-        match (param("shards"), param("index")) {
-            (Ok(s), Ok(i)) if s > 0 && i < s => Some((s, i)),
-            (Ok(s), Ok(i)) => {
-                return reject(
-                    writer,
-                    &format!("shard index {i} out of range for {s} shard(s)"),
-                );
-            }
-            (Err(e), _) | (_, Err(e)) => return reject(writer, &e),
-        }
-    } else {
-        None
+    let slice = match Slice::parse_query(request.query()) {
+        Ok(slice) => slice,
+        Err(e) => return reject(writer, &e.to_string()),
     };
     // Coordinator-selected kernel profile: the coordinator appends
     // `&kernel=fma` so every worker computes the same bits it expects
@@ -1643,14 +1604,7 @@ fn handle_shard(request: &Request, writer: &mut impl Write, state: &ServerState)
     let Some(spec) = parse_spec_or_reject(request, writer) else {
         return 400;
     };
-    let result = match (span, shard) {
-        (Some((lo, hi)), _) => run_scenario_span_with(&spec, &engine, &state.cache, lo, hi - lo),
-        (None, Some((shards, index))) => {
-            run_scenario_shard_with(&spec, &engine, &state.cache, shards, index)
-        }
-        (None, None) => unreachable!("one of span/shard is always set"),
-    };
-    match result {
+    match run_scenario_slice_with(&spec, &engine, &state.cache, slice) {
         Ok(partial) => {
             state.shards_completed.inc();
             let _ = Response::json(200, partial.to_json()).write_to(writer);

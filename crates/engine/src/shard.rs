@@ -106,10 +106,16 @@ pub struct ShardBlock {
 pub fn plan_shard(rounds_per_point: &[usize], shards: usize, index: usize) -> Vec<ShardBlock> {
     assert!(shards > 0, "shards must be positive");
     assert!(index < shards, "shard index out of range");
-    let total: usize = rounds_per_point.iter().sum();
-    let lo = index * total / shards;
-    let hi = (index + 1) * total / shards;
+    let (lo, hi) = equal_span(rounds_per_point.iter().sum(), shards, index);
     plan_span(rounds_per_point, lo, hi)
+}
+
+/// Slice `index` of an equal `shards`-way split of `total` units:
+/// `[⌊i·U/k⌋, ⌊(i+1)·U/k⌋)`, with the products taken in `u128` so any
+/// `usize` coordinates are exact. Requires `index < shards`.
+fn equal_span(total: usize, shards: usize, index: usize) -> (usize, usize) {
+    let at = |i: usize| (i as u128 * total as u128 / shards as u128) as usize;
+    (at(index), at(index + 1))
 }
 
 /// The blocks covering the contiguous unit range `[lo, hi)` of the global
@@ -167,8 +173,7 @@ pub fn weighted_span(rounds_per_point: &[usize], weights: &[u64], index: usize) 
     let total: usize = rounds_per_point.iter().sum();
     let sum: u128 = weights.iter().map(|&w| w as u128).sum();
     if sum == 0 {
-        let k = weights.len();
-        return (index * total / k, (index + 1) * total / k);
+        return equal_span(total, weights.len(), index);
     }
     let before: u128 = weights[..index].iter().map(|&w| w as u128).sum();
     let through = before + weights[index] as u128;
@@ -192,6 +197,186 @@ pub fn plan_shard_weighted(
 ) -> Vec<ShardBlock> {
     let (lo, hi) = weighted_span(rounds_per_point, weights, index);
     plan_span(rounds_per_point, lo, hi)
+}
+
+/// Which part of a scenario's global round space one dispatch covers: the
+/// coordinates of `spnn run --shards K --shard-index I` and of the worker
+/// endpoint `POST /shard`. This type owns that endpoint's query format —
+/// [`Slice::to_query`] renders it for the coordinator and
+/// [`Slice::parse_query`] parses it on the worker — and resolves to a unit
+/// range with [`Slice::resolve`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Slice {
+    /// Slice `index` of an equal `shards`-way split (see [`plan_shard`]);
+    /// query form `shards=K&index=I`.
+    Shard {
+        /// Number of equal slices (positive).
+        shards: usize,
+        /// Which slice (`< shards`).
+        index: usize,
+    },
+    /// The explicit half-open unit range `[lo, hi)` — capacity-weighted
+    /// plans and work-stealing re-dispatches; query form `span=LO-HI`.
+    Span {
+        /// First unit of the range.
+        lo: usize,
+        /// One past the last unit (`> lo`).
+        hi: usize,
+    },
+}
+
+/// Why a [`Slice`] is malformed or does not fit the round space. Every
+/// variant is a client error (`400` on `POST /shard`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum SliceError {
+    /// A required query parameter is absent.
+    Missing(&'static str),
+    /// A parameter is not a non-negative integer (or `span` is not
+    /// `LO-HI`).
+    Malformed(&'static str),
+    /// `shards == 0` or `index >= shards`.
+    ShardOutOfRange {
+        /// The requested shard count.
+        shards: usize,
+        /// The requested index.
+        index: usize,
+    },
+    /// `lo >= hi`.
+    EmptySpan {
+        /// Requested first unit.
+        lo: usize,
+        /// Requested end unit.
+        hi: usize,
+    },
+    /// `hi` exceeds the round space.
+    SpanOutOfRange {
+        /// Requested first unit.
+        lo: usize,
+        /// Requested end unit.
+        hi: usize,
+        /// Units in the scenario's round space.
+        total: usize,
+    },
+}
+
+impl fmt::Display for SliceError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SliceError::Missing(key) => write!(f, "missing query parameter {key:?}"),
+            SliceError::Malformed("span") => write!(f, "span must be LO-HI with integer bounds"),
+            SliceError::Malformed(key) => write!(f, "query parameter {key:?} must be an integer"),
+            SliceError::ShardOutOfRange { shards, index } => {
+                write!(f, "shard index {index} out of range for {shards} shard(s)")
+            }
+            SliceError::EmptySpan { lo, hi } => write!(f, "span {lo}-{hi} is empty or reversed"),
+            SliceError::SpanOutOfRange { lo, hi, total } => {
+                write!(f, "span {lo}-{hi} out of range for a {total}-round queue")
+            }
+        }
+    }
+}
+
+impl std::error::Error for SliceError {}
+
+impl Slice {
+    /// Parses a `/shard` query string (the part after `?`; other
+    /// parameters are ignored). The two forms are mutually exclusive;
+    /// `span` wins when both are present because only coordinators send
+    /// it. The result has passed [`Slice::check`].
+    ///
+    /// # Errors
+    ///
+    /// A [`SliceError`] naming the missing, malformed or out-of-range
+    /// parameter.
+    pub fn parse_query(query: &str) -> Result<Slice, SliceError> {
+        let int = |key: &'static str, raw: &str| {
+            raw.parse::<usize>().map_err(|_| SliceError::Malformed(key))
+        };
+        let slice = match crate::http::query_param(query, "span") {
+            Some(raw) => {
+                let (lo, hi) = raw.split_once('-').ok_or(SliceError::Malformed("span"))?;
+                Slice::Span {
+                    lo: int("span", lo)?,
+                    hi: int("span", hi)?,
+                }
+            }
+            None => {
+                let get = |key: &'static str| {
+                    int(
+                        key,
+                        crate::http::query_param(query, key).ok_or(SliceError::Missing(key))?,
+                    )
+                };
+                Slice::Shard {
+                    shards: get("shards")?,
+                    index: get("index")?,
+                }
+            }
+        };
+        slice.check()
+    }
+
+    /// The query string [`Slice::parse_query`] reads back as `self`.
+    pub fn to_query(self) -> String {
+        match self {
+            Slice::Shard { shards, index } => format!("shards={shards}&index={index}"),
+            Slice::Span { lo, hi } => format!("span={lo}-{hi}"),
+        }
+    }
+
+    /// Validates what is checkable without the round space: a positive
+    /// shard count with the index in range, or a non-empty span.
+    ///
+    /// # Errors
+    ///
+    /// [`SliceError::ShardOutOfRange`] or [`SliceError::EmptySpan`].
+    pub fn check(self) -> Result<Slice, SliceError> {
+        match self {
+            Slice::Shard { shards, index } if index >= shards => {
+                Err(SliceError::ShardOutOfRange { shards, index })
+            }
+            Slice::Span { lo, hi } if lo >= hi => Err(SliceError::EmptySpan { lo, hi }),
+            ok => Ok(ok),
+        }
+    }
+
+    /// The unit range `[lo, hi)` this slice covers in a round space of
+    /// `total` units (equal slices use the `u128` arithmetic of
+    /// [`plan_shard`], exact for any `usize` coordinates).
+    ///
+    /// # Errors
+    ///
+    /// As [`Slice::check`], plus [`SliceError::SpanOutOfRange`] when a
+    /// span overruns the round space.
+    pub fn resolve(self, total: usize) -> Result<(usize, usize), SliceError> {
+        match self.check()? {
+            Slice::Shard { shards, index } => Ok(equal_span(total, shards, index)),
+            Slice::Span { lo, hi } if hi > total => {
+                Err(SliceError::SpanOutOfRange { lo, hi, total })
+            }
+            Slice::Span { lo, hi } => Ok((lo, hi)),
+        }
+    }
+
+    /// The `(shards, shard_index)` a partial for this slice records in
+    /// its header (diagnostics only — the merge reads coverage off the
+    /// blocks). Spans record `(1, 0)`.
+    pub(crate) fn header(self) -> (usize, usize) {
+        match self {
+            Slice::Shard { shards, index } => (shards, index),
+            Slice::Span { .. } => (1, 0),
+        }
+    }
+}
+
+impl fmt::Display for Slice {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Slice::Shard { shards, index } => write!(f, "shard {index}/{shards}"),
+            Slice::Span { lo, hi } => write!(f, "span {lo}..{hi}"),
+        }
+    }
 }
 
 /// The queue fingerprint of a spec: a 128-bit FNV-1a key over the spec's
@@ -790,7 +975,8 @@ fn check_compatible(
 /// let mut merge = MergeState::new();
 /// let mut rows = Vec::new();
 /// for index in [1, 0] {  // partials may arrive in any order
-///     let partial = run_scenario_shard_with(&spec, &config, &cache, 2, index).unwrap();
+///     let slice = Slice::Shard { shards: 2, index };
+///     let partial = run_scenario_slice_with(&spec, &config, &cache, slice).unwrap();
 ///     rows.extend(merge.push(partial).unwrap()); // completed-prefix rows
 /// }
 /// let report = merge.finalize().unwrap();
@@ -1126,6 +1312,22 @@ mod tests {
         let plans: Vec<_> = (0..7).map(|i| plan_shard(&rounds, 7, i)).collect();
         let non_empty = plans.iter().filter(|p| !p.is_empty()).count();
         assert_eq!(non_empty, 3, "3 units → exactly 3 working shards");
+
+        // u64-scale shard counts: `i·U` overflows a usize, so the slice
+        // arithmetic runs in u128 and stays exact.
+        let rounds = vec![3usize, 3]; // 6 units
+        for k in [usize::MAX / 6 + 1, usize::MAX] {
+            assert!(plan_shard(&rounds, k, 0).is_empty());
+            assert_eq!(
+                plan_shard(&rounds, k, k - 1),
+                vec![ShardBlock {
+                    point: 1,
+                    first_round: 2,
+                    rounds: 1
+                }],
+                "k={k}: the last shard owns the last unit"
+            );
+        }
     }
 
     #[test]
@@ -1559,5 +1761,196 @@ mod tests {
             PartialReport::parse(&wrong_version),
             Err(MergeError::Format(_))
         ));
+    }
+
+    /// The `/shard` query codec: [`Slice::parse_query`] inverts
+    /// [`Slice::to_query`], never panics, and answers every bad query with
+    /// a typed error.
+    mod slice_codec {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A coordinate near 0, near `usize::MAX`, or spread in between.
+        fn coord() -> impl Strategy<Value = usize> {
+            (0u8..3, 0usize..64).prop_map(|(scale, x)| match scale {
+                0 => x,
+                1 => usize::MAX - x,
+                _ => x.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            })
+        }
+
+        /// Two coordinates with `lo < hi`.
+        fn ordered() -> impl Strategy<Value = (usize, usize)> {
+            (coord(), coord()).prop_map(|(a, b)| match a.cmp(&b) {
+                std::cmp::Ordering::Less => (a, b),
+                std::cmp::Ordering::Greater => (b, a),
+                std::cmp::Ordering::Equal if a > 0 => (a - 1, a),
+                std::cmp::Ordering::Equal => (0, 1),
+            })
+        }
+
+        /// Any slice that passes [`Slice::check`].
+        fn valid_slice() -> impl Strategy<Value = Slice> {
+            (0u8..2, ordered()).prop_map(|(kind, (lo, hi))| {
+                if kind == 0 {
+                    Slice::Shard {
+                        shards: hi,
+                        index: lo,
+                    }
+                } else {
+                    Slice::Span { lo, hi }
+                }
+            })
+        }
+
+        const TOKENS: [&str; 17] = [
+            "shards",
+            "index",
+            "span",
+            "kernel",
+            "=",
+            "&",
+            "-",
+            "0",
+            "1",
+            "7",
+            "18446744073709551615",
+            "18446744073709551616",
+            "x",
+            "+",
+            " ",
+            "?",
+            "é",
+        ];
+
+        /// Query strings assembled from codec-relevant fragments.
+        fn any_query() -> impl Strategy<Value = String> {
+            collection::vec(0usize..TOKENS.len(), 0..14)
+                .prop_map(|picks| picks.into_iter().map(|i| TOKENS[i]).collect())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn rendering_then_parsing_is_the_identity(slice in valid_slice()) {
+                prop_assert_eq!(slice.check(), Ok(slice));
+                prop_assert_eq!(Slice::parse_query(&slice.to_query()), Ok(slice));
+                // Other parameters ride along without changing the slice.
+                let query = format!("kernel=fma&{}&x=1", slice.to_query());
+                prop_assert_eq!(Slice::parse_query(&query), Ok(slice));
+            }
+
+            #[test]
+            fn span_wins_over_shard_coordinates(a in ordered(), b in ordered()) {
+                let shard = Slice::Shard { shards: a.1, index: a.0 };
+                let span = Slice::Span { lo: b.0, hi: b.1 };
+                for query in [
+                    format!("{}&{}", shard.to_query(), span.to_query()),
+                    format!("{}&{}", span.to_query(), shard.to_query()),
+                ] {
+                    prop_assert_eq!(Slice::parse_query(&query), Ok(span), "{}", query);
+                }
+            }
+
+            #[test]
+            fn parsing_arbitrary_queries_never_panics(query in any_query()) {
+                if let Ok(slice) = Slice::parse_query(&query) {
+                    // Whatever parses is valid and renders canonically.
+                    prop_assert_eq!(slice.check(), Ok(slice));
+                    prop_assert_eq!(Slice::parse_query(&slice.to_query()), Ok(slice));
+                }
+            }
+
+            #[test]
+            fn resolved_ranges_stay_inside_the_round_space(
+                slice in valid_slice(),
+                total in coord(),
+            ) {
+                match slice.resolve(total) {
+                    Ok((lo, hi)) => prop_assert!(lo <= hi && hi <= total, "{slice} → {lo}..{hi}"),
+                    Err(e) => prop_assert!(
+                        matches!(
+                            (slice, &e),
+                            (Slice::Span { hi, .. }, SliceError::SpanOutOfRange { .. }) if hi > total
+                        ),
+                        "{slice}: {e}"
+                    ),
+                }
+            }
+        }
+
+        #[test]
+        fn bad_queries_are_typed_errors() {
+            use SliceError::*;
+            let cases: [(&str, SliceError); 17] = [
+                ("", Missing("shards")),
+                ("index=1", Missing("shards")),
+                ("shards=3", Missing("index")),
+                ("shards=3&index", Missing("index")),
+                ("shards=x&index=0", Malformed("shards")),
+                ("shards=3&index=", Malformed("index")),
+                ("shards=-1&index=0", Malformed("shards")),
+                ("shards=18446744073709551616&index=0", Malformed("shards")),
+                (
+                    "shards=3&index=3",
+                    ShardOutOfRange {
+                        shards: 3,
+                        index: 3,
+                    },
+                ),
+                (
+                    "shards=0&index=0",
+                    ShardOutOfRange {
+                        shards: 0,
+                        index: 0,
+                    },
+                ),
+                ("span=", Malformed("span")),
+                ("span=0", Malformed("span")),
+                ("span=a-b", Malformed("span")),
+                ("span=1-2-3", Malformed("span")),
+                ("span=-4", Malformed("span")),
+                ("span=3-3", EmptySpan { lo: 3, hi: 3 }),
+                ("span=4-2&shards=3&index=0", EmptySpan { lo: 4, hi: 2 }),
+            ];
+            for (query, want) in cases {
+                assert_eq!(Slice::parse_query(query), Err(want), "{query:?}");
+            }
+            assert_eq!(
+                Slice::Span { lo: 0, hi: 999 }.resolve(18),
+                Err(SpanOutOfRange {
+                    lo: 0,
+                    hi: 999,
+                    total: 18
+                })
+            );
+            assert_eq!(
+                Slice::Shard {
+                    shards: 3,
+                    index: 3
+                }
+                .resolve(18),
+                Err(ShardOutOfRange {
+                    shards: 3,
+                    index: 3
+                })
+            );
+        }
+
+        #[test]
+        fn shard_slices_resolve_like_the_planner() {
+            let rounds = vec![1usize, 7, 2, 5, 1, 1];
+            let total = rounds.iter().sum();
+            for shards in 1..=20 {
+                for index in 0..shards {
+                    let (lo, hi) = Slice::Shard { shards, index }.resolve(total).unwrap();
+                    assert_eq!(
+                        plan_span(&rounds, lo, hi),
+                        plan_shard(&rounds, shards, index)
+                    );
+                }
+            }
+        }
     }
 }

@@ -1,5 +1,5 @@
 //! Executor-layer integration tests: the acceptance guarantee is that
-//! `LocalExecutor`, `SpawnExecutor`, and `RemoteExecutor` all drive the
+//! in-process local peers, `SpawnExecutor`, and `RemoteExecutor` all drive the
 //! same `run_distributed` merge path and produce reports **byte-for-byte
 //! identical** to the unsharded `spnn run` — including when a remote
 //! worker is dead or fails mid-response and its shard is retried on
@@ -10,8 +10,8 @@ mod common;
 
 use common::{dead_addr, flaky_addr, start_server, Fault, FaultWorker};
 use spnn_engine::exec::{
-    run_distributed, CancelToken, ExecContext, ExecError, Executor, LocalExecutor, RemoteExecutor,
-    SpawnExecutor, WeightSource,
+    run_distributed, CancelToken, ExecContext, ExecError, Executor, RemoteExecutor, SpawnExecutor,
+    WeightSource,
 };
 use spnn_engine::prelude::*;
 use spnn_engine::runner::StreamEvent;
@@ -74,13 +74,16 @@ fn assert_matches_unsharded(spec: &ScenarioSpec, report: &EngineReport, what: &s
     assert_eq!(to_csv(report), to_csv(&unsharded), "{what}: CSV diverged");
 }
 
-/// Acceptance criterion: the in-process threaded executor is
-/// byte-identical to the unsharded run for several shard counts.
+/// Acceptance criterion: the in-process threaded executor (local peers
+/// only, `spnn run --exec local`) is byte-identical to the unsharded run
+/// for several shard counts.
 #[test]
 fn local_executor_is_byte_identical() {
     let spec = tiny_fig4();
     for shards in [1, 3, 5] {
-        let report = distribute(&spec, &LocalExecutor, shards);
+        let local = RemoteExecutor::new(vec![]).with_local_peers(shards);
+        assert_eq!(local.name(), "local");
+        let report = distribute(&spec, &local, shards);
         assert_matches_unsharded(&spec, &report, &format!("local k={shards}"));
     }
 }

@@ -15,11 +15,9 @@ mod common;
 
 use common::start_server;
 use spnn_engine::exec::{
-    run_distributed, CancelToken, ExecContext, Executor, LocalExecutor, RemoteExecutor,
-    SpawnExecutor,
+    run_distributed, CancelToken, ExecContext, Executor, RemoteExecutor, SpawnExecutor,
 };
 use spnn_engine::prelude::*;
-use spnn_engine::runner::run_scenario_shard_with;
 use spnn_engine::{queue_fingerprint_with, KernelProfile};
 use std::path::PathBuf;
 
@@ -141,7 +139,8 @@ fn every_executor_is_byte_identical_under_fma() {
     let spec = common::tiny_fig4();
     let expected = to_json(&run(&spec, KernelProfile::Fma, 2));
 
-    let local = distribute(&spec, &LocalExecutor, 2, KernelProfile::Fma);
+    let local_peers = RemoteExecutor::new(vec![]).with_local_peers(2);
+    let local = distribute(&spec, &local_peers, 2, KernelProfile::Fma);
     assert_eq!(to_json(&local), expected, "local executor");
 
     let spawn = SpawnExecutor {
@@ -203,11 +202,26 @@ fn fma_agrees_with_reference_within_the_margin_of_error() {
 fn mixed_profile_partials_do_not_merge() {
     let spec = common::tiny_fig4();
     let cache = ContextCache::in_memory();
-    let reference =
-        run_scenario_shard_with(&spec, &config(KernelProfile::Reference, 2), &cache, 2, 0)
-            .expect("reference shard");
-    let fma = run_scenario_shard_with(&spec, &config(KernelProfile::Fma, 2), &cache, 2, 1)
-        .expect("fma shard");
+    let reference = run_scenario_slice_with(
+        &spec,
+        &config(KernelProfile::Reference, 2),
+        &cache,
+        Slice::Shard {
+            shards: 2,
+            index: 0,
+        },
+    )
+    .expect("reference shard");
+    let fma = run_scenario_slice_with(
+        &spec,
+        &config(KernelProfile::Fma, 2),
+        &cache,
+        Slice::Shard {
+            shards: 2,
+            index: 1,
+        },
+    )
+    .expect("fma shard");
     let err = merge_partials(&[reference, fma]).expect_err("profiles must not mix");
     assert!(
         err.to_string().contains("kernel profile"),

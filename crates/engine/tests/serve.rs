@@ -310,16 +310,19 @@ fn shard_endpoint_validates_its_query() {
     let addr = start_server(1);
     let text = tiny_fig4().to_text();
     for query in [
-        "",                  // missing both
-        "?shards=3",         // missing index
-        "?shards=3&index=3", // out of range
-        "?shards=0&index=0", // zero shards
-        "?shards=x&index=0", // not an integer
-        "?span=3-3",         // empty span
-        "?span=4-2",         // reversed span
-        "?span=0",           // no '-'
-        "?span=a-b",         // not integers
-        "?span=0-999",       // out of range for the queue
+        "",                                     // missing both
+        "?shards=3",                            // missing index
+        "?shards=3&index=3",                    // out of range
+        "?shards=0&index=0",                    // zero shards
+        "?shards=x&index=0",                    // not an integer
+        "?span=3-3",                            // empty span
+        "?span=4-2",                            // reversed span
+        "?span=0",                              // no '-'
+        "?span=a-b",                            // not integers
+        "?span=0-999",                          // out of range for the queue
+        "?span=",                               // empty value
+        "?shards=&index=0",                     // empty integer
+        "?shards=18446744073709551616&index=0", // overflows usize
     ] {
         let (status, body) = http(
             addr,
@@ -331,6 +334,29 @@ fn shard_endpoint_validates_its_query() {
         );
         assert_eq!(status, 400, "query {query:?}: {body}");
     }
+}
+
+/// A u64-scale shard count, where `index · U` overflows a usize, is an
+/// ordinary (tiny) slice computed in u128 — not a worker crash: the
+/// request gets a well-formed partial, and the single-thread pool keeps
+/// answering afterwards.
+#[test]
+fn shard_endpoint_survives_u64_scale_shard_counts() {
+    let addr = start_server(1);
+    let spec = tiny_fig4(); // 3 points × 2 rounds = 6 units
+    let (status, body) = post_shard(
+        addr,
+        "shards=3074457345618258603&index=3074457345618258602",
+        &spec.to_text(),
+    );
+    assert_eq!(status, 200, "{body}");
+    let partial = PartialReport::parse(&body).expect("well-formed partial");
+    // The last shard owns exactly the last unit: point 2, round 1.
+    assert_eq!(partial.points.len(), 1, "{body}");
+    assert_eq!(partial.points[0].index, 2);
+    assert_eq!(partial.points[0].first_iteration, spec.round_size);
+    let (status, body) = http(addr, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+    assert_eq!(status, 200, "{body}");
 }
 
 /// Satellite acceptance: `POST /run?format=csv` streams bytes identical

@@ -43,7 +43,16 @@ fn shard_and_merge(spec: &ScenarioSpec, k: usize) -> EngineReport {
     let cache = ContextCache::in_memory();
     let partials: Vec<PartialReport> = (0..k)
         .map(|i| {
-            let p = run_scenario_shard_with(spec, &config, &cache, k, i).expect("shard runs");
+            let p = run_scenario_slice_with(
+                spec,
+                &config,
+                &cache,
+                Slice::Shard {
+                    shards: k,
+                    index: i,
+                },
+            )
+            .expect("shard runs");
             assert_eq!(p.shards, k);
             assert_eq!(p.shard_index, i);
             // The on-disk JSON round trip must be transparent.
@@ -140,7 +149,18 @@ fn merge_state_permutations_are_byte_identical_and_stream_in_prefix_order() {
         let config = EngineConfig::default();
         let cache = ContextCache::in_memory();
         let partials: Vec<PartialReport> = (0..3)
-            .map(|i| run_scenario_shard_with(&spec, &config, &cache, 3, i).unwrap())
+            .map(|i| {
+                run_scenario_slice_with(
+                    &spec,
+                    &config,
+                    &cache,
+                    Slice::Shard {
+                        shards: 3,
+                        index: i,
+                    },
+                )
+                .unwrap()
+            })
             .collect();
         let unsharded = run_scenario(&spec, &config).expect("unsharded run");
         let batch = merge_partials(&partials).expect("batch merge");
@@ -183,9 +203,36 @@ fn merge_accepts_partials_from_different_plans() {
     let spec = tiny_fig4();
     let config = EngineConfig::default();
     let cache = ContextCache::in_memory();
-    let half = run_scenario_shard_with(&spec, &config, &cache, 2, 0).unwrap();
-    let q2 = run_scenario_shard_with(&spec, &config, &cache, 4, 2).unwrap();
-    let q3 = run_scenario_shard_with(&spec, &config, &cache, 4, 3).unwrap();
+    let half = run_scenario_slice_with(
+        &spec,
+        &config,
+        &cache,
+        Slice::Shard {
+            shards: 2,
+            index: 0,
+        },
+    )
+    .unwrap();
+    let q2 = run_scenario_slice_with(
+        &spec,
+        &config,
+        &cache,
+        Slice::Shard {
+            shards: 4,
+            index: 2,
+        },
+    )
+    .unwrap();
+    let q3 = run_scenario_slice_with(
+        &spec,
+        &config,
+        &cache,
+        Slice::Shard {
+            shards: 4,
+            index: 3,
+        },
+    )
+    .unwrap();
     let merged = merge_partials(&[half, q2, q3]).expect("mixed plans cover exactly");
     let unsharded = run_scenario(&spec, &config).unwrap();
     assert_eq!(to_json(&merged), to_json(&unsharded));
@@ -197,7 +244,18 @@ fn merge_rejects_a_dropped_shard() {
     let config = EngineConfig::default();
     let cache = ContextCache::in_memory();
     let partials: Vec<PartialReport> = (0..3)
-        .map(|i| run_scenario_shard_with(&spec, &config, &cache, 3, i).unwrap())
+        .map(|i| {
+            run_scenario_slice_with(
+                &spec,
+                &config,
+                &cache,
+                Slice::Shard {
+                    shards: 3,
+                    index: i,
+                },
+            )
+            .unwrap()
+        })
         .collect();
     let err = merge_partials(&partials[..2]).expect_err("gapped set must not merge");
     assert!(matches!(err, MergeError::Coverage(_)), "{err}");
@@ -213,7 +271,18 @@ fn merge_deduplicates_a_duplicated_shard() {
     let config = EngineConfig::default();
     let cache = ContextCache::in_memory();
     let mut partials: Vec<PartialReport> = (0..2)
-        .map(|i| run_scenario_shard_with(&spec, &config, &cache, 2, i).unwrap())
+        .map(|i| {
+            run_scenario_slice_with(
+                &spec,
+                &config,
+                &cache,
+                Slice::Shard {
+                    shards: 2,
+                    index: i,
+                },
+            )
+            .unwrap()
+        })
         .collect();
     partials.push(partials[1].clone());
     let merged = merge_partials(&partials).expect("bit-identical duplicates must be absorbed");
@@ -231,8 +300,26 @@ fn merge_deduplicates_partial_overlap_from_redispatch() {
     let spec = tiny_fig4();
     let config = EngineConfig::default();
     let cache = ContextCache::in_memory();
-    let whole = run_scenario_shard_with(&spec, &config, &cache, 1, 0).unwrap();
-    let slice = run_scenario_shard_with(&spec, &config, &cache, 3, 1).unwrap();
+    let whole = run_scenario_slice_with(
+        &spec,
+        &config,
+        &cache,
+        Slice::Shard {
+            shards: 1,
+            index: 0,
+        },
+    )
+    .unwrap();
+    let slice = run_scenario_slice_with(
+        &spec,
+        &config,
+        &cache,
+        Slice::Shard {
+            shards: 3,
+            index: 1,
+        },
+    )
+    .unwrap();
     let merged = merge_partials(&[slice, whole]).expect("overlapping cover must merge");
     let unsharded = run_scenario(&spec, &config).expect("unsharded run");
     assert_eq!(to_json(&merged), to_json(&unsharded));
@@ -245,8 +332,26 @@ fn merge_rejects_partials_of_a_different_spec() {
     foreign_spec.seed ^= 0xDEAD;
     let config = EngineConfig::default();
     let cache = ContextCache::in_memory();
-    let a = run_scenario_shard_with(&spec, &config, &cache, 2, 0).unwrap();
-    let b = run_scenario_shard_with(&foreign_spec, &config, &cache, 2, 1).unwrap();
+    let a = run_scenario_slice_with(
+        &spec,
+        &config,
+        &cache,
+        Slice::Shard {
+            shards: 2,
+            index: 0,
+        },
+    )
+    .unwrap();
+    let b = run_scenario_slice_with(
+        &foreign_spec,
+        &config,
+        &cache,
+        Slice::Shard {
+            shards: 2,
+            index: 1,
+        },
+    )
+    .unwrap();
     let err = merge_partials(&[a, b]).expect_err("foreign fingerprint must not merge");
     assert!(matches!(err, MergeError::Mismatch(_)), "{err}");
 }
@@ -256,8 +361,37 @@ fn shard_driver_validates_its_arguments() {
     let spec = tiny_fig4();
     let config = EngineConfig::default();
     let cache = ContextCache::in_memory();
-    assert!(run_scenario_shard_with(&spec, &config, &cache, 0, 0).is_err());
-    assert!(run_scenario_shard_with(&spec, &config, &cache, 3, 3).is_err());
+    assert!(run_scenario_slice_with(
+        &spec,
+        &config,
+        &cache,
+        Slice::Shard {
+            shards: 0,
+            index: 0
+        }
+    )
+    .is_err());
+    assert!(run_scenario_slice_with(
+        &spec,
+        &config,
+        &cache,
+        Slice::Shard {
+            shards: 3,
+            index: 3
+        }
+    )
+    .is_err());
+    // 6 points × 3 rounds = 18 units: empty, reversed and overrunning
+    // spans are rejected; the whole space is a valid span.
+    for (lo, hi) in [(3, 3), (4, 2), (0, 19)] {
+        let span = Slice::Span { lo, hi };
+        assert!(
+            run_scenario_slice_with(&spec, &config, &cache, span).is_err(),
+            "{span}"
+        );
+    }
+    let whole = run_scenario_slice_with(&spec, &config, &cache, Slice::Span { lo: 0, hi: 18 });
+    assert_eq!(whole.expect("whole span runs").points.len(), 6);
 }
 
 proptest! {
