@@ -12,8 +12,8 @@
 //! the full 784-dimensional spectrum.
 
 use crate::generator::GrayImage;
-use spnn_linalg::fft::{fft2, fftshift, Direction};
-use spnn_linalg::{CMatrix, C64};
+use spnn_linalg::fft::{Direction, FftPlan};
+use spnn_linalg::C64;
 
 /// Computes the complex feature vector of an image: 2-D FFT, `fftshift`,
 /// central `crop × crop` block, flattened row-major and normalized to unit
@@ -34,15 +34,53 @@ use spnn_linalg::{CMatrix, C64};
 /// assert_eq!(f.len(), 16);
 /// ```
 pub fn fft_features(image: &GrayImage, crop: usize) -> Vec<C64> {
+    fft_features_with(&FftPlan::new(image.side(), Direction::Forward), image, crop)
+}
+
+/// [`fft_features`] through a caller-owned forward plan of length
+/// `image.side()`, so a whole dataset shares one plan.
+///
+/// All rows are transformed, but only the `crop` columns the shifted crop
+/// keeps are: a column transform reads nothing outside its own column, so
+/// the kept coefficients are bit-identical to cropping the full
+/// `fftshift(fft2(image))` spectrum.
+///
+/// # Panics
+///
+/// Panics if `crop` is zero or exceeds the image side, or if `plan` is not
+/// a forward plan of the image side.
+pub fn fft_features_with(plan: &FftPlan, image: &GrayImage, crop: usize) -> Vec<C64> {
     let side = image.side();
     assert!(crop > 0 && crop <= side, "crop must be in 1..=side");
+    assert_eq!(
+        plan.direction(),
+        Direction::Forward,
+        "features need a forward plan"
+    );
 
-    let complex_img = CMatrix::from_fn(side, side, |r, c| C64::from(image.get(r, c)));
-    let spectrum = fftshift(&fft2(&complex_img, Direction::Forward));
+    let mut scratch = Vec::new();
+    let mut rows: Vec<C64> = image.pixels().iter().map(|&p| C64::from(p)).collect();
+    for row in rows.chunks_exact_mut(side) {
+        plan.process(row, &mut scratch);
+    }
+
+    // Shifted index `start + i` holds unshifted frequency
+    // `(start + i + side - side / 2) % side` (the `fftshift` rotation).
     let start = side / 2 - crop / 2;
-    let block = spectrum.block(start, start, crop, crop);
+    let unshift = |i: usize| (start + i + side - side / 2) % side;
+    let mut features = vec![C64::zero(); crop * crop];
+    let mut col = vec![C64::zero(); side];
+    for j in 0..crop {
+        let c = unshift(j);
+        for (r, z) in col.iter_mut().enumerate() {
+            *z = rows[r * side + c];
+        }
+        plan.process(&mut col, &mut scratch);
+        for i in 0..crop {
+            features[i * crop + j] = col[unshift(i)];
+        }
+    }
 
-    let mut features = block.into_vec();
     let norm = spnn_linalg::vector::norm(&features);
     if norm > f64::MIN_POSITIVE {
         for f in &mut features {
@@ -64,8 +102,9 @@ mod tests {
     use crate::generator::ImageGenerator;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use spnn_linalg::fft::dft_naive;
+    use spnn_linalg::fft::{dft_naive, fftshift};
     use spnn_linalg::vector::norm_sq;
+    use spnn_linalg::CMatrix;
 
     #[test]
     fn feature_count_is_crop_squared() {

@@ -38,9 +38,10 @@ pub mod features;
 pub mod generator;
 pub mod glyphs;
 
-pub use features::fft_features;
+pub use features::{fft_features, fft_features_with};
 pub use generator::{GrayImage, ImageGenerator};
 
+use spnn_linalg::fft::{Direction, FftPlan};
 use spnn_linalg::C64;
 
 /// Configuration for [`SpnnDataset::generate`].
@@ -127,6 +128,7 @@ fn generate_split(
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
 
+    let plan = FftPlan::new(generator::IMAGE_SIDE, Direction::Forward);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut labels: Vec<usize> = (0..n).map(|i| i % 10).collect();
     labels.shuffle(&mut rng);
@@ -134,7 +136,7 @@ fn generate_split(
         .iter()
         .map(|&digit| {
             let img = generator.render(digit, &mut rng);
-            fft_features(&img, crop)
+            fft_features_with(&plan, &img, crop)
         })
         .collect();
     (features, labels)

@@ -13,7 +13,8 @@
 //!   key, so e.g. `fig4` and `fig5` (same dataset/architecture/seed,
 //!   different sweeps) share one trained context.
 //! - [`TrainedContext`] — the trained [`ComplexNetwork`] plus memoized
-//!   photonic mesh mappings per `(topology, shuffle seed)`.
+//!   photonic mesh mappings per `(topology, shuffle seed)` and a one-slot
+//!   in-memory memo of the last test split evaluated against it.
 //! - [`ContextCache`] — in-memory memoization within a run and an optional
 //!   on-disk store across runs, in a versioned, endian-stable binary format
 //!   with a trailing checksum. Loads are corruption-safe: any malformed,
@@ -50,7 +51,7 @@ use crate::spec::ScenarioSpec;
 use crate::tevent;
 use crate::trace::Level;
 use spnn_core::network::{PhotonicLayer, SpnnError};
-use spnn_core::{MeshTopology, PhotonicNetwork};
+use spnn_core::{MeshTopology, PhotonicNetwork, TestBatch};
 use spnn_dataset::{DatasetConfig, SpnnDataset};
 use spnn_linalg::{CMatrix, C64};
 use spnn_mesh::{DiagonalLine, UnitaryMesh};
@@ -173,6 +174,20 @@ fn topology_from_code(c: u8) -> Option<MeshTopology> {
     }
 }
 
+/// The test split a scenario evaluates on: its features and labels packed
+/// for the batched kernels, plus the software network's accuracy on it.
+///
+/// A pure function of the dataset seed and crop — both covered by the
+/// context's [`Fingerprint`] — and of `n_test`, so
+/// [`TrainedContext::test_split`] memoizes it keyed by `n_test` alone.
+#[derive(Debug)]
+pub(crate) struct TestSplit {
+    /// The packed test features and labels (`n_test` samples).
+    pub(crate) batch: TestBatch,
+    /// The trained software network's accuracy on the split.
+    pub(crate) software_accuracy: f64,
+}
+
 /// A trained software network plus its photonic mesh mappings, shared via
 /// `Arc` between scenarios that hit the same [`Fingerprint`].
 ///
@@ -189,6 +204,9 @@ pub struct TrainedContext {
     /// `usize::MAX` means "never written". Lets [`ContextCache::persist`]
     /// skip rewriting an entry whose on-disk state is already current.
     persisted_mappings: AtomicUsize,
+    /// The last test split generated for this context (memory only —
+    /// never persisted, so cache files do not change).
+    test_split: Mutex<Option<Arc<TestSplit>>>,
 }
 
 impl TrainedContext {
@@ -236,6 +254,40 @@ impl TrainedContext {
         )?);
         map.insert(key, Arc::clone(&hw));
         Ok(hw)
+    }
+
+    /// The test split of `spec` — `spec.dataset.n_test` samples under the
+    /// seed and crop this context was trained with — and whether it was a
+    /// memo hit.
+    ///
+    /// The memo holds one split: a miss generates the split (and its
+    /// software accuracy) and replaces whatever split of another `n_test`
+    /// the slot held, so memory stays bounded under client-chosen sizes.
+    /// Concurrent callers serialize on the slot, so a split is generated
+    /// once and the others take the hit.
+    pub(crate) fn test_split(&self, spec: &ScenarioSpec) -> (Arc<TestSplit>, bool) {
+        debug_assert_eq!(Fingerprint::of_spec(spec), self.fingerprint);
+        let n_test = spec.dataset.n_test;
+        let mut slot = self.test_split.lock().expect("test split lock");
+        if let Some(split) = slot.as_ref().filter(|s| s.batch.len() == n_test) {
+            return (Arc::clone(split), true);
+        }
+        // The test stream is seeded independently of the training stream,
+        // so generating it alone gives the same samples as a full dataset.
+        let data = SpnnDataset::generate(&DatasetConfig {
+            n_train: 0,
+            n_test,
+            crop: spec.dataset.crop,
+            seed: spec.seed,
+        });
+        let split = Arc::new(TestSplit {
+            batch: TestBatch::new(&data.test_features, &data.test_labels),
+            software_accuracy: self
+                .software
+                .accuracy(&data.test_features, &data.test_labels),
+        });
+        *slot = Some(Arc::clone(&split));
+        (split, false)
     }
 }
 
@@ -549,8 +601,8 @@ impl ContextCache {
 
 /// Trains a context from scratch. Only the training split of the dataset
 /// is generated (`n_test = 0`): the train and test streams are seeded
-/// independently, so the test set — which the runner generates per
-/// scenario — is unaffected.
+/// independently, so the test set — which [`TrainedContext::test_split`]
+/// generates on demand — is unaffected.
 fn train_context(spec: &ScenarioSpec, fingerprint: Fingerprint, verbose: bool) -> TrainedContext {
     let data = SpnnDataset::generate(&DatasetConfig {
         n_train: spec.dataset.n_train,
@@ -585,6 +637,7 @@ fn train_context(spec: &ScenarioSpec, fingerprint: Fingerprint, verbose: bool) -
         train_accuracy: report.train_accuracy,
         mappings: Mutex::new(HashMap::new()),
         persisted_mappings: AtomicUsize::new(usize::MAX),
+        test_split: Mutex::new(None),
     }
 }
 
@@ -1281,6 +1334,7 @@ fn deserialize_context(
         train_accuracy,
         persisted_mappings: AtomicUsize::new(mappings.len()),
         mappings: Mutex::new(mappings),
+        test_split: Mutex::new(None),
     })
 }
 
@@ -1352,6 +1406,32 @@ mod tests {
         keys.sort();
         keys.dedup();
         assert_eq!(keys.len(), variants.len() + 1, "fingerprint collision");
+    }
+
+    #[test]
+    fn test_split_memo_hits_and_is_replaced_by_a_new_size() {
+        let cache = ContextCache::in_memory();
+        let spec = tiny_spec();
+        let ctx = cache.get_or_train(&spec, false);
+        let (first, hit) = ctx.test_split(&spec);
+        assert!(!hit, "the first request generates the split");
+        assert_eq!(first.batch.len(), spec.dataset.n_test);
+        let (again, hit) = ctx.test_split(&spec);
+        assert!(hit && Arc::ptr_eq(&first, &again), "same n_test is a hit");
+
+        let mut larger = tiny_spec();
+        larger.dataset.n_test += 10;
+        let (other, hit) = ctx.test_split(&larger);
+        assert!(!hit);
+        assert_eq!(other.batch.len(), larger.dataset.n_test);
+        // One slot: the larger split evicted the first, which regenerates
+        // with the same bits.
+        let (back, hit) = ctx.test_split(&spec);
+        assert!(!hit && !Arc::ptr_eq(&first, &back));
+        assert_eq!(
+            back.software_accuracy.to_bits(),
+            first.software_accuracy.to_bits()
+        );
     }
 
     #[test]

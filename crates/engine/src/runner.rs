@@ -26,7 +26,7 @@
 //! returns a partial report; [`crate::shard::merge_partials`] recombines
 //! partials into a report bit-identical to the unsharded run.
 
-use crate::cache::ContextCache;
+use crate::cache::{ContextCache, TestSplit};
 use crate::estimator::{StopRule, Welford};
 use crate::metrics::{self, MetricsRegistry};
 use crate::queue::{compile, WorkItem};
@@ -43,7 +43,6 @@ use spnn_core::{
     BatchScratch, HardwareEffects, KernelProfile, McResult, PerturbationPlan, PhotonicNetwork,
     RealizeScratch, TestBatch,
 };
-use spnn_dataset::{DatasetConfig, SpnnDataset};
 use spnn_linalg::CMatrix;
 use std::fmt;
 use std::path::PathBuf;
@@ -107,7 +106,7 @@ pub(crate) fn phase_histogram(
 ) -> crate::metrics::Histogram {
     registry.histogram(
         "spnn_phase_duration_seconds",
-        "Wall-clock spent per engine phase (train, cache_load, mapping, rounds).",
+        "Wall-clock spent per engine phase (train, cache_load, test_split, mapping, rounds).",
         &[("phase", phase)],
         metrics::DURATION_BUCKETS,
     )
@@ -475,7 +474,8 @@ pub(crate) struct PreparedScenario {
     pub(crate) queue_fp: String,
     /// The row cache and this spec's key context, when one is configured.
     pub(crate) rows: Option<(Arc<RowCache>, RowContext)>,
-    pub(crate) batch: TestBatch,
+    /// The test split, shared with the trained context's memo.
+    pub(crate) split: Arc<TestSplit>,
     pub(crate) stop: StopRule,
     pub(crate) round_size: usize,
     pub(crate) topologies: Vec<TopologySummary>,
@@ -483,10 +483,10 @@ pub(crate) struct PreparedScenario {
     pub(crate) ctx: Arc<crate::cache::TrainedContext>,
 }
 
-/// Validates the spec, obtains the trained context (cache or fresh),
-/// generates the test split, maps every topology and compiles the global
-/// work queue. Pure function of the spec — identical whether invoked by
-/// the full run, by any shard, or in any process.
+/// Validates the spec, obtains the trained context (cache or fresh) and
+/// its test split (memoized on the context), maps every topology and
+/// compiles the global work queue. Pure function of the spec — identical
+/// whether invoked by the full run, by any shard, or in any process.
 pub(crate) fn prepare(
     spec: &ScenarioSpec,
     config: &EngineConfig,
@@ -512,18 +512,28 @@ pub(crate) fn prepare(
         phase = phase,
         seconds = ctx_elapsed.as_secs_f64(),
     );
-    // Only the test split is generated here; the training split lives
-    // behind the cache (its RNG stream is independent, so the test set is
-    // identical either way).
-    let data = SpnnDataset::generate(&DatasetConfig {
-        n_train: 0,
-        n_test: spec.dataset.n_test,
-        crop: spec.dataset.crop,
-        seed: spec.seed,
-    });
-    let software_accuracy = ctx
-        .software()
-        .accuracy(&data.test_features, &data.test_labels);
+    // The test split comes from the context's memo; only a miss (first
+    // request, or a new `n_test`) generates it.
+    let split_span = Span::start("test_split", phase_histogram(&config.metrics, "test_split"));
+    let (split, hit) = ctx.test_split(spec);
+    let split_elapsed = split_span.finish();
+    config
+        .metrics
+        .counter(
+            "spnn_test_split_total",
+            "Test-split acquisitions by outcome (hit: reused from the trained context's memo).",
+            &[("outcome", if hit { "hit" } else { "miss" })],
+        )
+        .inc();
+    tevent!(
+        Level::Debug,
+        "engine",
+        "test split ready",
+        scenario = &spec.name,
+        hit = hit,
+        seconds = split_elapsed.as_secs_f64(),
+    );
+    let software_accuracy = split.software_accuracy;
     if config.verbose {
         eprintln!(
             "[engine] {}: context {} (train acc {:.2}%, test acc {:.2}%)",
@@ -533,7 +543,6 @@ pub(crate) fn prepare(
             software_accuracy * 100.0
         );
     }
-    let batch = TestBatch::new(&data.test_features, &data.test_labels);
     let stop = if spec.target_moe > 0.0 {
         StopRule::adaptive(spec.iterations, spec.min_iterations, spec.target_moe)
     } else {
@@ -555,7 +564,7 @@ pub(crate) fn prepare(
         // kernel profile as the sweep, so topology summaries are
         // profile-consistent and shard-merge bit-comparisons agree. The
         // software accuracy above stays per-sample and profile-independent.
-        let nominal_accuracy = batch.accuracy_with_profile(
+        let nominal_accuracy = split.batch.accuracy_with_profile(
             &hardware,
             &hardware.ideal_matrices(),
             config.kernel,
@@ -597,7 +606,7 @@ pub(crate) fn prepare(
                 RowContext::of_spec_with(spec, config.kernel),
             )
         }),
-        batch,
+        split,
         stop,
         round_size: spec.round_size,
         topologies,
@@ -1040,7 +1049,7 @@ pub(crate) fn execute_blocks(
                     &point.hardware,
                     &point.item.plan,
                     &point.item.effects,
-                    &prep.batch,
+                    &prep.split.batch,
                     &prep.stop,
                     prep.round_size,
                     point.item.seed,

@@ -282,6 +282,83 @@ fn shard_endpoint_partials_merge_byte_identical() {
     assert!(health.contains("\"shards_completed\": 3"), "{health}");
 }
 
+/// The test split is memoized on the trained context: a repeated `/shard`
+/// request reuses it (`spnn_test_split_total{outcome="hit"}`), and
+/// alternating `n_test` values swap the one-slot memo — every partial
+/// byte-identical to the one a cold `spnn` process computes.
+#[test]
+fn shard_requests_reuse_the_memoized_test_split() {
+    let scratch = Scratch::new("split-memo");
+    let cache_dir = scratch.path("cache");
+    let small = tiny_fig4();
+    let mut large = tiny_fig4();
+    large.dataset.n_test += 10;
+    let cold = |spec: &ScenarioSpec, tag: &str| {
+        let spec_path = scratch.path(&format!("{tag}.scn"));
+        std::fs::write(&spec_path, spec.to_text()).expect("write spec");
+        let part = scratch.path(&format!("{tag}.json"));
+        let out = spnn(&[
+            "run",
+            spec_path.to_str().unwrap(),
+            "--quiet",
+            "--no-row-cache",
+            "--shards",
+            "2",
+            "--shard-index",
+            "0",
+            "--cache-dir",
+            cache_dir.to_str().unwrap(),
+            "--out",
+            part.to_str().unwrap(),
+        ]);
+        assert_ok(&out, "cold shard");
+        std::fs::read_to_string(&part).expect("cold partial")
+    };
+    let (cold_small, cold_large) = (cold(&small, "small"), cold(&large, "large"));
+    assert_ne!(
+        cold_small, cold_large,
+        "the two sizes must be distinguishable"
+    );
+
+    let addr = start_server(2);
+    let shard = |spec: &ScenarioSpec| {
+        let (status, body) = post_shard(addr, "shards=2&index=0", &spec.to_text());
+        assert_eq!(status, 200, "{body}");
+        body
+    };
+    let outcomes = || {
+        let exp = scrape(addr);
+        let count = |outcome: &str| -> f64 {
+            exp.samples
+                .iter()
+                .filter(|s| {
+                    s.name == "spnn_test_split_total"
+                        && s.labels.iter().any(|(k, v)| k == "outcome" && v == outcome)
+                })
+                .map(|s| s.value)
+                .sum()
+        };
+        (count("miss"), count("hit"))
+    };
+
+    assert_eq!(shard(&small), cold_small, "memo-miss partial");
+    assert_eq!(outcomes(), (1.0, 0.0));
+    assert_eq!(shard(&small), cold_small, "memo-hit partial");
+    assert_eq!(outcomes(), (1.0, 1.0), "the repeat must hit the memo");
+
+    for (i, (spec, cold)) in [
+        (&large, &cold_large),
+        (&small, &cold_small),
+        (&large, &cold_large),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        assert_eq!(shard(spec), *cold, "alternation {i}");
+    }
+    assert_eq!(outcomes(), (4.0, 1.0), "each size switch replaces the slot");
+}
+
 /// The weighted/stealing wire form: `POST /shard?span=LO-HI` names an
 /// explicit round-space range. Unevenly sized spans merge byte-identical
 /// to the batch run, exactly like the equal 1-of-K form.

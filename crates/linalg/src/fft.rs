@@ -30,6 +30,35 @@ pub fn fft_pow2_inplace(data: &mut [C64], dir: Direction) {
         n.is_power_of_two(),
         "fft_pow2_inplace requires power-of-two length"
     );
+    radix2(data, dir, &twiddles(n, dir));
+}
+
+/// The twiddle factors of every radix-2 stage of a length-`n` transform,
+/// in butterfly order: stage `len` (2, 4, …, n) occupies
+/// `[len/2 − 1, len − 1)` and holds `w_0 = 1`, `w_i = w_{i−1}·e^{sign·2πi/len}`.
+fn twiddles(n: usize, dir: Direction) -> Vec<C64> {
+    let sign = match dir {
+        Direction::Forward => -1.0,
+        Direction::Inverse => 1.0,
+    };
+    let mut tw = Vec::with_capacity(n.saturating_sub(1));
+    let mut len = 2;
+    while len <= n {
+        let wlen = C64::cis(sign * std::f64::consts::TAU / len as f64);
+        let mut w = C64::one();
+        for _ in 0..len / 2 {
+            tw.push(w);
+            w *= wlen;
+        }
+        len <<= 1;
+    }
+    tw
+}
+
+/// The radix-2 transform of a power-of-two-length (or empty) `data` with
+/// precomputed [`twiddles`].
+fn radix2(data: &mut [C64], dir: Direction, twiddles: &[C64]) {
+    let n = data.len();
     if n <= 1 {
         return;
     }
@@ -43,24 +72,17 @@ pub fn fft_pow2_inplace(data: &mut [C64], dir: Direction) {
         }
     }
 
-    let sign = match dir {
-        Direction::Forward => -1.0,
-        Direction::Inverse => 1.0,
-    };
-
     let mut len = 2;
     while len <= n {
-        let ang = sign * std::f64::consts::TAU / len as f64;
-        let wlen = C64::cis(ang);
+        let half = len / 2;
+        let tw = &twiddles[half - 1..len - 1];
         for chunk in data.chunks_mut(len) {
-            let mut w = C64::one();
-            let half = len / 2;
-            for i in 0..half {
-                let u = chunk[i];
-                let v = chunk[i + half] * w;
-                chunk[i] = u + v;
-                chunk[i + half] = u - v;
-                w *= wlen;
+            let (lo, hi) = chunk.split_at_mut(half);
+            for ((u, v), w) in lo.iter_mut().zip(hi.iter_mut()).zip(tw) {
+                let a = *u;
+                let b = *v * *w;
+                *u = a + b;
+                *v = a - b;
             }
         }
         len <<= 1;
@@ -76,7 +98,9 @@ pub fn fft_pow2_inplace(data: &mut [C64], dir: Direction) {
 
 /// FFT of arbitrary length: radix-2 when possible, Bluestein otherwise.
 ///
-/// Returns a new vector; the input is unchanged.
+/// Returns a new vector; the input is unchanged. Equivalent to a one-shot
+/// [`FftPlan`]; build the plan once instead when transforming many
+/// signals of one length.
 ///
 /// # Example
 ///
@@ -90,65 +114,127 @@ pub fn fft_pow2_inplace(data: &mut [C64], dir: Direction) {
 /// }
 /// ```
 pub fn fft(input: &[C64], dir: Direction) -> Vec<C64> {
-    let n = input.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    if n.is_power_of_two() {
-        let mut data = input.to_vec();
-        fft_pow2_inplace(&mut data, dir);
-        return data;
-    }
-    bluestein(input, dir)
+    let mut out = input.to_vec();
+    FftPlan::new(input.len(), dir).process(&mut out, &mut Vec::new());
+    out
 }
 
-/// Bluestein's chirp-z transform: expresses an arbitrary-length DFT as a
-/// convolution, evaluated with power-of-two FFTs.
-fn bluestein(input: &[C64], dir: Direction) -> Vec<C64> {
-    let n = input.len();
-    let sign = match dir {
-        Direction::Forward => -1.0,
-        Direction::Inverse => 1.0,
-    };
+/// A reusable transform of one length and direction.
+///
+/// Power-of-two lengths run radix-2 in place; other lengths use
+/// Bluestein's chirp-z algorithm, which expresses the DFT as a convolution
+/// evaluated with power-of-two FFTs. Everything that depends only on the
+/// length and direction — the radix-2 twiddles, the chirp, the spectrum
+/// of the convolution kernel — is computed once here instead of on every
+/// call. Results are bit-identical to [`fft`], which is a one-shot plan.
+#[derive(Debug, Clone)]
+pub struct FftPlan {
+    n: usize,
+    dir: Direction,
+    kind: PlanKind,
+}
 
-    // Chirp: w_k = e^{sign·πi·k²/n}. Use k² mod 2n to avoid huge angles.
-    let mut chirp = Vec::with_capacity(n);
-    for k in 0..n {
-        let k2 = (k as u64 * k as u64) % (2 * n as u64);
-        chirp.push(C64::cis(sign * std::f64::consts::PI * k2 as f64 / n as f64));
+#[derive(Debug, Clone)]
+enum PlanKind {
+    /// Power-of-two (or zero) length: the stage [`twiddles`].
+    Radix2(Vec<C64>),
+    Bluestein(Bluestein),
+}
+
+/// The length-dependent half of Bluestein's algorithm.
+#[derive(Debug, Clone)]
+struct Bluestein {
+    /// Chirp `w_k = e^{sign·πi·k²/n}`.
+    chirp: Vec<C64>,
+    /// Forward FFT of the conjugate chirp, zero-padded and wrapped to the
+    /// power-of-two convolution length `m`.
+    kernel_hat: Vec<C64>,
+    /// Forward and inverse [`twiddles`] of length `m`.
+    forward: Vec<C64>,
+    inverse: Vec<C64>,
+}
+
+impl FftPlan {
+    /// Plans a length-`n` transform in direction `dir`.
+    pub fn new(n: usize, dir: Direction) -> Self {
+        let kind = if n == 0 || n.is_power_of_two() {
+            PlanKind::Radix2(twiddles(n, dir))
+        } else {
+            PlanKind::Bluestein(Bluestein::new(n, dir))
+        };
+        Self { n, dir, kind }
     }
 
-    let m = (2 * n - 1).next_power_of_two();
-    let mut a = vec![C64::zero(); m];
-    for k in 0..n {
-        a[k] = input[k] * chirp[k];
-    }
-    let mut b = vec![C64::zero(); m];
-    b[0] = chirp[0].conj();
-    for k in 1..n {
-        let c = chirp[k].conj();
-        b[k] = c;
-        b[m - k] = c;
+    /// The direction this plan transforms in.
+    pub fn direction(&self) -> Direction {
+        self.dir
     }
 
-    fft_pow2_inplace(&mut a, Direction::Forward);
-    fft_pow2_inplace(&mut b, Direction::Forward);
-    for (x, y) in a.iter_mut().zip(b.iter()) {
-        *x *= *y;
-    }
-    fft_pow2_inplace(&mut a, Direction::Inverse);
-
-    let mut out = Vec::with_capacity(n);
-    for k in 0..n {
-        out.push(a[k] * chirp[k]);
-    }
-    if dir == Direction::Inverse {
-        let inv = 1.0 / n as f64;
-        for z in &mut out {
-            *z = z.scale(inv);
+    /// Transforms `data` in place. `scratch` is Bluestein's work buffer,
+    /// reusable across calls (its contents on entry do not matter).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len()` differs from the planned length.
+    pub fn process(&self, data: &mut [C64], scratch: &mut Vec<C64>) {
+        assert_eq!(data.len(), self.n, "signal length differs from the plan");
+        match &self.kind {
+            PlanKind::Radix2(tw) => radix2(data, self.dir, tw),
+            PlanKind::Bluestein(b) => b.process(data, self.dir, scratch),
         }
     }
-    out
+}
+
+impl Bluestein {
+    fn new(n: usize, dir: Direction) -> Self {
+        let sign = match dir {
+            Direction::Forward => -1.0,
+            Direction::Inverse => 1.0,
+        };
+        // Use k² mod 2n to avoid huge angles.
+        let chirp: Vec<C64> = (0..n)
+            .map(|k| {
+                let k2 = (k as u64 * k as u64) % (2 * n as u64);
+                C64::cis(sign * std::f64::consts::PI * k2 as f64 / n as f64)
+            })
+            .collect();
+        let m = (2 * n - 1).next_power_of_two();
+        let forward = twiddles(m, Direction::Forward);
+        let mut kernel_hat = vec![C64::zero(); m];
+        kernel_hat[0] = chirp[0].conj();
+        for k in 1..n {
+            let c = chirp[k].conj();
+            kernel_hat[k] = c;
+            kernel_hat[m - k] = c;
+        }
+        radix2(&mut kernel_hat, Direction::Forward, &forward);
+        Self {
+            chirp,
+            kernel_hat,
+            forward,
+            inverse: twiddles(m, Direction::Inverse),
+        }
+    }
+
+    fn process(&self, data: &mut [C64], dir: Direction, a: &mut Vec<C64>) {
+        a.clear();
+        a.extend(data.iter().zip(&self.chirp).map(|(x, w)| *x * *w));
+        a.resize(self.kernel_hat.len(), C64::zero());
+        radix2(a, Direction::Forward, &self.forward);
+        for (x, y) in a.iter_mut().zip(&self.kernel_hat) {
+            *x *= *y;
+        }
+        radix2(a, Direction::Inverse, &self.inverse);
+        for ((out, z), w) in data.iter_mut().zip(a.iter()).zip(&self.chirp) {
+            *out = *z * *w;
+        }
+        if dir == Direction::Inverse {
+            let inv = 1.0 / data.len() as f64;
+            for z in data.iter_mut() {
+                *z = z.scale(inv);
+            }
+        }
+    }
 }
 
 /// Reference `O(n²)` DFT — used to pin the fast transforms in tests.
@@ -178,19 +264,22 @@ pub fn dft_naive(input: &[C64], dir: Direction) -> Vec<C64> {
 pub fn fft2(input: &CMatrix, dir: Direction) -> CMatrix {
     let (rows, cols) = input.shape();
     let mut out = input.clone();
+    let mut scratch = Vec::new();
     // Transform rows.
+    let row_plan = FftPlan::new(cols, dir);
     for r in 0..rows {
-        let row: Vec<C64> = out.row(r).to_vec();
-        let t = fft(&row, dir);
-        for (c, z) in t.into_iter().enumerate() {
+        let mut row = out.row(r).to_vec();
+        row_plan.process(&mut row, &mut scratch);
+        for (c, z) in row.into_iter().enumerate() {
             out[(r, c)] = z;
         }
     }
     // Transform columns.
+    let col_plan = FftPlan::new(rows, dir);
     for c in 0..cols {
-        let col: Vec<C64> = out.col(c);
-        let t = fft(&col, dir);
-        for (r, z) in t.into_iter().enumerate() {
+        let mut col = out.col(c);
+        col_plan.process(&mut col, &mut scratch);
+        for (r, z) in col.into_iter().enumerate() {
             out[(r, c)] = z;
         }
     }
@@ -255,6 +344,32 @@ mod tests {
             let fast = fft(&x, Direction::Forward);
             let slow = dft_naive(&x, Direction::Forward);
             assert_close(&fast, &slow, 1e-8 * (n as f64));
+        }
+    }
+
+    #[test]
+    fn reused_plan_is_bit_identical_to_fresh_fft() {
+        let bits = |v: &[C64]| -> Vec<(u64, u64)> {
+            v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        // One scratch buffer across every length: stale contents from a
+        // longer transform must not leak into a shorter one.
+        let mut scratch = Vec::new();
+        for dir in [Direction::Forward, Direction::Inverse] {
+            for n in [0usize, 1, 2, 3, 7, 8, 9, 16, 28, 100] {
+                let plan = FftPlan::new(n, dir);
+                for seed in 0..4 {
+                    let x = random_signal(n, 3000 + 10 * n as u64 + seed);
+                    let mut y = x.clone();
+                    plan.process(&mut y, &mut scratch);
+                    assert_eq!(bits(&y), bits(&fft(&x, dir)), "n={n} {dir:?}");
+                    if n.is_power_of_two() {
+                        let mut z = x.clone();
+                        fft_pow2_inplace(&mut z, dir);
+                        assert_eq!(bits(&y), bits(&z), "n={n} {dir:?} radix-2");
+                    }
+                }
+            }
         }
     }
 
