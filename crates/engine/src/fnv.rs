@@ -1,12 +1,12 @@
 //! Crate-shared FNV-1a 64-bit hashing.
 //!
 //! One hash loop feeds three unrelated-looking consumers — the per-point
-//! seed derivation in [`crate::queue`], the training-fingerprint key and
-//! the cache-file checksum in [`crate::cache`] — so the loop lives here
-//! once. FNV-1a is deliberately simple and **non-cryptographic**: every
-//! consumer that needs integrity pairs it with a semantic check (the
-//! fingerprint stores and re-verifies its canonical string; the cache
-//! codec bounds every count it reads).
+//! seed derivation in [`crate::queue`], and the content key and the
+//! record checksum in [`crate::store`] — so the loop lives here once.
+//! FNV-1a is deliberately simple and **non-cryptographic**: every
+//! consumer that needs integrity pairs it with a semantic check (stored
+//! keys are re-verified against their canonical strings; the payload
+//! codecs bound every count they read).
 
 /// The standard FNV-1a 64-bit offset basis.
 pub(crate) const FNV_BASIS: u64 = 0xcbf29ce484222325;

@@ -37,10 +37,14 @@
 //!   every sweep row is a pure function of the spec, so finished rows are
 //!   content-addressed by [`rowcache::RowKey`] and memoized in a
 //!   two-tier [`rowcache::RowCache`] (in-memory LRU + optional shared
-//!   disk dir with the same checksummed atomic-write discipline as
-//!   [`cache`]). The runner consults it before any Monte-Carlo work, the
+//!   disk dir). The runner consults it before any Monte-Carlo work, the
 //!   coordinator before any dispatch; overlapping sweeps only compute
 //!   their delta and replayed reports stay byte-identical.
+//! - [`store`] — the content-addressed on-disk store both caches share:
+//!   the 128-bit content key, the checksummed record envelope, atomic
+//!   publish with a per-write temporary name, heal-on-corrupt loads, and
+//!   the `ls`/`rm`/`gc` directory operations. Each cache supplies only
+//!   its payload codec and file [`store::Layout`].
 //! - [`shard`] — distributed shard-and-merge execution: a deterministic
 //!   planner partitions the compiled queue's rounds across `k` processes
 //!   (`spnn run --shards k --shard-index i`, or `--shards k --spawn` for
@@ -130,6 +134,7 @@ pub mod runner;
 pub mod serve;
 pub mod shard;
 pub mod spec;
+pub mod store;
 pub mod trace;
 
 pub use cache::{ContextCache, Fingerprint, TrainedContext};

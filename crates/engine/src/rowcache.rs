@@ -24,9 +24,9 @@
 //!   its rows are present, a whole run replays from the store without
 //!   preparing, training, or dispatching anything.
 //! - [`RowCache`] — the two-tier store: an in-memory LRU always, plus an
-//!   optional shared on-disk tier following the same versioned,
-//!   checksummed, atomic tmp+rename, corruption-healing discipline as
-//!   [`crate::cache`]. Invalidation is *never*: keys are content
+//!   optional shared on-disk tier in the content-addressed
+//!   [`crate::store`] (versioned, checksummed, atomic publish,
+//!   corruption-healing). Invalidation is *never*: keys are content
 //!   addresses, so a wrong entry can only come from corruption, which the
 //!   checksum catches and heals by recompute.
 //!
@@ -35,35 +35,50 @@
 //! survive the round trip exactly; the property tests at the bottom of
 //! this file pin that.
 
-use crate::cache::{
-    gc_with_extension, Fingerprint, GcLimits, GcOutcome, LoadError, Reader, Writer,
-};
-use crate::fnv::{fnv1a64, FNV_BASIS};
+use crate::cache::Fingerprint;
 use crate::metrics::{Counter, MetricsRegistry};
 use crate::runner::TopologySummary;
 use crate::spec::ScenarioSpec;
-use crate::tevent;
-use crate::trace::Level;
+use crate::store::{self, Format, Kind, Layout, LoadError, Reader};
 use spnn_core::KernelProfile;
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-/// Magic bytes opening every row-cache file.
-const MAGIC: &[u8; 8] = b"SPNNROW\x01";
-/// Binary format version; bump on any layout change. Files with another
-/// version are ignored (recompute-on-load), never misread.
-const FORMAT_VERSION: u32 = 1;
-/// File extension of row-cache entries (rows and manifests alike).
-pub const EXTENSION: &str = "spnnrow";
+/// The envelope of every row-cache file.
+const FORMAT: Format = Format {
+    magic: b"SPNNROW\x01",
+    version: 1,
+};
+
+/// The on-disk naming of the row cache: `row-<key>.spnnrow` rows and
+/// `man-<queue fingerprint>.spnnrow` manifests under
+/// `$SPNN_ROW_CACHE_DIR`, else `$XDG_CACHE_HOME/spnn/rows`, else
+/// `$HOME/.cache/spnn/rows`, else `./.spnn-rowcache`.
+pub const LAYOUT: Layout = Layout {
+    env_var: "SPNN_ROW_CACHE_DIR",
+    subdir: "spnn/rows",
+    fallback: ".spnn-rowcache",
+    extension: "spnnrow",
+    kinds: &[ROW_FILE, MANIFEST_FILE],
+};
+const ROW_FILE: Kind = Kind {
+    prefix: "row-",
+    name: "row",
+    summarize: summarize_row,
+};
+const MANIFEST_FILE: Kind = Kind {
+    prefix: "man-",
+    name: "manifest",
+    summarize: summarize_manifest,
+};
 
 /// Record kind tag: a single cached sweep point.
 const KIND_ROW: u8 = 0;
 /// Record kind tag: a per-spec manifest.
 const KIND_MANIFEST: u8 = 1;
 
-/// Default capacity (entries) of the in-memory row tier.
+/// Capacity (entries) of the in-memory row tier.
 const DEFAULT_MEM_ROWS: usize = 4096;
 /// Capacity (entries) of the in-memory manifest tier.
 const MEM_MANIFESTS: usize = 64;
@@ -84,21 +99,15 @@ pub struct RowKey {
 
 impl RowKey {
     fn of_canonical(canonical: String) -> Self {
-        let a = fnv1a64(canonical.as_bytes(), FNV_BASIS);
-        let b = fnv1a64(canonical.as_bytes(), 0x6c62272e07bb0142);
-        let mut key = [0u8; 16];
-        key[..8].copy_from_slice(&a.to_le_bytes());
-        key[8..].copy_from_slice(&b.to_le_bytes());
-        Self { key, canonical }
+        Self {
+            key: store::content_key(&canonical),
+            canonical,
+        }
     }
 
     /// The 32-character lowercase hex key (the row file stem).
     pub fn hex(&self) -> String {
-        let mut out = String::with_capacity(32);
-        for b in &self.key {
-            let _ = write!(out, "{b:02x}");
-        }
-        out
+        store::hex(&self.key)
     }
 
     /// The canonical string the key hashes — a readable summary of every
@@ -183,18 +192,6 @@ impl RowContext {
     }
 }
 
-fn parse_hex32(hex: &str) -> Option<[u8; 16]> {
-    if hex.len() != 32 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
-        return None;
-    }
-    let mut key = [0u8; 16];
-    for (i, chunk) in hex.as_bytes().chunks(2).enumerate() {
-        let s = std::str::from_utf8(chunk).ok()?;
-        key[i] = u8::from_str_radix(s, 16).ok()?;
-    }
-    Some(key)
-}
-
 // ---------------------------------------------------------------------------
 // Payloads
 // ---------------------------------------------------------------------------
@@ -237,67 +234,42 @@ pub struct RowManifest {
 // ---------------------------------------------------------------------------
 
 fn serialize_row(key: &RowKey, point: &CachedPoint) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.buf.extend_from_slice(MAGIC);
-    w.u32(FORMAT_VERSION);
-    w.u8(KIND_ROW);
-    w.buf.extend_from_slice(&key.key);
-    w.str(&key.canonical);
-    w.str(&point.topology);
-    w.u32(point.labels.len() as u32);
-    for (k, v) in &point.labels {
-        w.str(k);
-        w.str(v);
-    }
-    w.f64s(&point.samples);
-    w.u8(point.stopped_early as u8);
-    let checksum = fnv1a64(&w.buf, FNV_BASIS);
-    w.u64(checksum);
-    w.buf
+    store::seal(&FORMAT, |w| {
+        w.u8(KIND_ROW);
+        w.buf.extend_from_slice(&key.key);
+        w.str(&key.canonical);
+        w.str(&point.topology);
+        w.u32(point.labels.len() as u32);
+        for (k, v) in &point.labels {
+            w.str(k);
+            w.str(v);
+        }
+        w.f64s(&point.samples);
+        w.u8(point.stopped_early as u8);
+    })
 }
 
 fn serialize_manifest(queue_fp: &str, manifest: &RowManifest) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.buf.extend_from_slice(MAGIC);
-    w.u32(FORMAT_VERSION);
-    w.u8(KIND_MANIFEST);
-    w.str(queue_fp);
-    w.str(&manifest.scenario);
-    w.u32(manifest.topologies.len() as u32);
-    for t in &manifest.topologies {
-        w.str(&t.topology);
-        w.f64(t.software_accuracy);
-        w.f64(t.nominal_accuracy);
-    }
-    w.u32(manifest.row_keys.len() as u32);
-    for k in &manifest.row_keys {
-        w.str(k);
-    }
-    let checksum = fnv1a64(&w.buf, FNV_BASIS);
-    w.u64(checksum);
-    w.buf
+    store::seal(&FORMAT, |w| {
+        w.u8(KIND_MANIFEST);
+        w.str(queue_fp);
+        w.str(&manifest.scenario);
+        w.u32(manifest.topologies.len() as u32);
+        for t in &manifest.topologies {
+            w.str(&t.topology);
+            w.f64(t.software_accuracy);
+            w.f64(t.nominal_accuracy);
+        }
+        w.u32(manifest.row_keys.len() as u32);
+        for k in &manifest.row_keys {
+            w.str(k);
+        }
+    })
 }
 
-/// Shared header validation: checksum first (any later check assumes
-/// intact bytes), then magic, version, and the expected kind tag. Returns
-/// a reader positioned after the header.
+/// Opens a sealed record and checks its kind tag, the first body byte.
 fn open_record(bytes: &[u8], kind: u8) -> Result<Reader<'_>, LoadError> {
-    if bytes.len() < MAGIC.len() + 4 + 1 + 8 {
-        return Err(LoadError::Malformed("file too short"));
-    }
-    let (content, trailer) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(trailer.try_into().unwrap());
-    if fnv1a64(content, FNV_BASIS) != stored {
-        return Err(LoadError::BadChecksum);
-    }
-    let mut r = Reader::new(content);
-    if r.take(MAGIC.len())? != MAGIC {
-        return Err(LoadError::BadMagic);
-    }
-    let version = r.u32()?;
-    if version != FORMAT_VERSION {
-        return Err(LoadError::BadVersion(version));
-    }
+    let mut r = store::open(&FORMAT, bytes)?;
     if r.u8()? != kind {
         return Err(LoadError::Malformed("wrong record kind"));
     }
@@ -315,7 +287,7 @@ fn deserialize_row(bytes: &[u8]) -> Result<(RowKey, CachedPoint), LoadError> {
     let topology = r.str()?;
     let n_labels = r.u32()? as usize;
     // Each label needs at least two length prefixes; cap before allocating.
-    if n_labels > (r.buf.len() - r.pos) / 8 {
+    if n_labels > r.remaining() / 8 {
         return Err(LoadError::Malformed("implausible label count"));
     }
     let mut labels = Vec::with_capacity(n_labels);
@@ -330,9 +302,7 @@ fn deserialize_row(bytes: &[u8]) -> Result<(RowKey, CachedPoint), LoadError> {
         1 => true,
         _ => return Err(LoadError::Malformed("bad stopped_early flag")),
     };
-    if r.pos != r.buf.len() {
-        return Err(LoadError::Malformed("trailing bytes"));
-    }
+    r.finish()?;
     Ok((
         RowKey { key, canonical },
         CachedPoint {
@@ -347,12 +317,12 @@ fn deserialize_row(bytes: &[u8]) -> Result<(RowKey, CachedPoint), LoadError> {
 fn deserialize_manifest(bytes: &[u8]) -> Result<(String, RowManifest), LoadError> {
     let mut r = open_record(bytes, KIND_MANIFEST)?;
     let queue_fp = r.str()?;
-    if parse_hex32(&queue_fp).is_none() {
+    if store::parse_hex(&queue_fp).is_none() {
         return Err(LoadError::Malformed("bad queue fingerprint"));
     }
     let scenario = r.str()?;
     let n_topologies = r.u32()? as usize;
-    if n_topologies > (r.buf.len() - r.pos) / 20 {
+    if n_topologies > r.remaining() / 20 {
         return Err(LoadError::Malformed("implausible topology count"));
     }
     let mut topologies = Vec::with_capacity(n_topologies);
@@ -368,20 +338,18 @@ fn deserialize_manifest(bytes: &[u8]) -> Result<(String, RowManifest), LoadError
     }
     let n_rows = r.u32()? as usize;
     // Each row key is a length prefix plus 32 hex characters.
-    if n_rows > (r.buf.len() - r.pos) / 36 {
+    if n_rows > r.remaining() / 36 {
         return Err(LoadError::Malformed("implausible row count"));
     }
     let mut row_keys = Vec::with_capacity(n_rows);
     for _ in 0..n_rows {
         let hex = r.str()?;
-        if parse_hex32(&hex).is_none() {
+        if store::parse_hex(&hex).is_none() {
             return Err(LoadError::Malformed("bad row key"));
         }
         row_keys.push(hex);
     }
-    if r.pos != r.buf.len() {
-        return Err(LoadError::Malformed("trailing bytes"));
-    }
+    r.finish()?;
     Ok((
         queue_fp,
         RowManifest {
@@ -390,6 +358,16 @@ fn deserialize_manifest(bytes: &[u8]) -> Result<(String, RowManifest), LoadError
             row_keys,
         },
     ))
+}
+
+/// The `spnn rowcache ls` summary of a row file.
+fn summarize_row(bytes: &[u8]) -> Result<String, LoadError> {
+    deserialize_row(bytes).map(|(_, p)| format!("{} samples", p.samples.len()))
+}
+
+/// The `spnn rowcache ls` summary of a manifest file.
+fn summarize_manifest(bytes: &[u8]) -> Result<String, LoadError> {
+    deserialize_manifest(bytes).map(|(_, m)| format!("{} points", m.row_keys.len()))
 }
 
 // ---------------------------------------------------------------------------
@@ -464,8 +442,9 @@ pub struct RowCacheStats {
 /// [`crate::runner::EngineConfig::row_cache`]); all methods take `&self`.
 ///
 /// Concurrent writers of the same row are benign: both produce identical
-/// bytes (rows are pure functions of their key) and the tmp+rename
-/// publish is atomic, so the last rename wins with the same content.
+/// bytes (rows are pure functions of their key) and each [`crate::store`]
+/// publish renames a complete file of its own, so the last rename wins
+/// with the same content.
 #[derive(Debug)]
 pub struct RowCache {
     dir: Option<PathBuf>,
@@ -506,27 +485,19 @@ impl RowCache {
         Self::new(Some(dir))
     }
 
-    /// Caps the in-memory row tier at `capacity` entries (builder style).
-    pub fn with_mem_capacity(mut self, capacity: usize) -> Self {
-        self.rows = Mutex::new(MemTier::new(capacity));
-        self
-    }
-
     /// The on-disk tier directory, if any.
     pub fn dir(&self) -> Option<&Path> {
         self.dir.as_deref()
     }
 
     fn row_path(&self, hex: &str) -> Option<PathBuf> {
-        self.dir
-            .as_ref()
-            .map(|d| d.join(format!("row-{hex}.{EXTENSION}")))
+        let dir = self.dir.as_deref()?;
+        Some(LAYOUT.path(dir, &ROW_FILE, hex))
     }
 
     fn manifest_path(&self, queue_fp: &str) -> Option<PathBuf> {
-        self.dir
-            .as_ref()
-            .map(|d| d.join(format!("man-{queue_fp}.{EXTENSION}")))
+        let dir = self.dir.as_deref()?;
+        Some(LAYOUT.path(dir, &MANIFEST_FILE, queue_fp))
     }
 
     /// Looks a row up by key: memory first, then disk. Disk hits are
@@ -539,7 +510,7 @@ impl RowCache {
     /// [`RowCache::get`] addressed by the 32-hex key string (manifests
     /// store keys in this form). Returns `None` for malformed hex.
     pub fn get_by_hex(&self, hex: &str) -> Option<Arc<CachedPoint>> {
-        let key = parse_hex32(hex)?;
+        let key = store::parse_hex(hex)?;
         self.get_bytes(&key, hex)
     }
 
@@ -552,27 +523,23 @@ impl RowCache {
             self.misses.inc();
             return None;
         };
-        match load_record(&path, |bytes| {
+        let loaded = store::load(&path, &self.corrupt_healed, |bytes| {
             let (stored, point) = deserialize_row(bytes)?;
             if stored.key != *key {
                 // A renamed file: its content belongs to another address.
                 return Err(LoadError::FingerprintMismatch);
             }
             Ok(point)
-        }) {
-            Ok(point) => {
-                self.disk_hits.inc();
-                let point = Arc::new(point);
-                let evicted = self.rows.lock().unwrap().insert(*key, Arc::clone(&point));
-                self.evictions.add(evicted as u64);
-                Some(point)
-            }
-            Err(e) => {
-                self.heal(&path, &e);
-                self.misses.inc();
-                None
-            }
-        }
+        });
+        let Some(point) = loaded else {
+            self.misses.inc();
+            return None;
+        };
+        self.disk_hits.inc();
+        let point = Arc::new(point);
+        let evicted = self.rows.lock().unwrap().insert(*key, Arc::clone(&point));
+        self.evictions.add(evicted as u64);
+        Some(point)
     }
 
     /// Publishes a row under its key: into the memory tier always, and to
@@ -588,44 +555,37 @@ impl RowCache {
         self.evictions.add(evicted as u64);
         if let Some(path) = self.row_path(&key.hex()) {
             if !path.exists() {
-                self.persist(&path, serialize_row(key, &point));
+                self.persist(&path, &serialize_row(key, &point));
             }
         }
     }
 
     /// Looks a manifest up by queue fingerprint: memory, then disk.
     pub fn get_manifest(&self, queue_fp: &str) -> Option<Arc<RowManifest>> {
-        let key = parse_hex32(queue_fp)?;
+        let key = store::parse_hex(queue_fp)?;
         if let Some(hit) = self.manifests.lock().unwrap().get(&key) {
             return Some(hit);
         }
         let path = self.manifest_path(queue_fp)?;
-        match load_record(&path, |bytes| {
+        let manifest = store::load(&path, &self.corrupt_healed, |bytes| {
             let (stored_fp, manifest) = deserialize_manifest(bytes)?;
             if stored_fp != queue_fp {
                 return Err(LoadError::FingerprintMismatch);
             }
             Ok(manifest)
-        }) {
-            Ok(manifest) => {
-                let manifest = Arc::new(manifest);
-                self.manifests
-                    .lock()
-                    .unwrap()
-                    .insert(key, Arc::clone(&manifest));
-                Some(manifest)
-            }
-            Err(e) => {
-                self.heal(&path, &e);
-                None
-            }
-        }
+        })?;
+        let manifest = Arc::new(manifest);
+        self.manifests
+            .lock()
+            .unwrap()
+            .insert(key, Arc::clone(&manifest));
+        Some(manifest)
     }
 
     /// Publishes a completed run's manifest under its queue fingerprint.
     /// Ignores fingerprints that are not 32 hex characters.
     pub fn put_manifest(&self, queue_fp: &str, manifest: RowManifest) {
-        let Some(key) = parse_hex32(queue_fp) else {
+        let Some(key) = store::parse_hex(queue_fp) else {
             return;
         };
         let manifest = Arc::new(manifest);
@@ -635,48 +595,17 @@ impl RowCache {
             .insert(key, Arc::clone(&manifest));
         if let Some(path) = self.manifest_path(queue_fp) {
             if !path.exists() {
-                self.persist(&path, serialize_manifest(queue_fp, &manifest));
+                self.persist(&path, &serialize_manifest(queue_fp, &manifest));
             }
         }
     }
 
-    /// Atomic tmp+rename publish, mirroring [`crate::cache`]: a reader
-    /// never observes a half-written file, and concurrent writers of
-    /// identical content race harmlessly.
-    fn persist(&self, path: &Path, bytes: Vec<u8>) {
-        let Some(dir) = path.parent() else { return };
-        if std::fs::create_dir_all(dir).is_err() {
-            return;
+    /// A [`store::publish`], counting the bytes on success. Failures only
+    /// cost a later recompute, so they are not reported.
+    fn persist(&self, path: &Path, bytes: &[u8]) {
+        if store::publish(path, bytes).is_ok() {
+            self.bytes_written.add(bytes.len() as u64);
         }
-        let stem = path.file_name().and_then(|n| n.to_str()).unwrap_or("row");
-        let tmp = dir.join(format!(".tmp-{}-{}", std::process::id(), stem));
-        let n = bytes.len() as u64;
-        if std::fs::write(&tmp, &bytes).is_err() {
-            let _ = std::fs::remove_file(&tmp);
-            return;
-        }
-        if std::fs::rename(&tmp, path).is_err() {
-            let _ = std::fs::remove_file(&tmp);
-            return;
-        }
-        self.bytes_written.add(n);
-    }
-
-    /// Removes an unusable file so the recomputed entry republishes over
-    /// it. Plain misses ([`LoadError::NotFound`]) are not corruption.
-    fn heal(&self, path: &Path, e: &LoadError) {
-        if matches!(e, LoadError::NotFound) {
-            return;
-        }
-        tevent!(
-            Level::Warn,
-            "rowcache",
-            "removing unusable row-cache file",
-            path = &path.display().to_string(),
-            error = &format!("{e}"),
-        );
-        let _ = std::fs::remove_file(path);
-        self.corrupt_healed.inc();
     }
 
     /// A snapshot of the store's counters.
@@ -733,129 +662,10 @@ impl RowCache {
     }
 }
 
-fn load_record<T>(
-    path: &Path,
-    parse: impl FnOnce(&[u8]) -> Result<T, LoadError>,
-) -> Result<T, LoadError> {
-    let bytes = std::fs::read(path).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::NotFound {
-            LoadError::NotFound
-        } else {
-            LoadError::Io(e.to_string())
-        }
-    })?;
-    parse(&bytes)
-}
-
-// ---------------------------------------------------------------------------
-// CLI support (spnn rowcache {ls,rm,gc,path})
-// ---------------------------------------------------------------------------
-
-/// The row-cache directory the `spnn` CLI uses by default:
-/// `$SPNN_ROW_CACHE_DIR`, else `$XDG_CACHE_HOME/spnn/rows`, else
-/// `$HOME/.cache/spnn/rows`, else `./.spnn-rowcache`.
-pub fn default_row_cache_dir() -> PathBuf {
-    if let Some(dir) = std::env::var_os("SPNN_ROW_CACHE_DIR") {
-        return PathBuf::from(dir);
-    }
-    if let Some(xdg) = std::env::var_os("XDG_CACHE_HOME") {
-        if !xdg.is_empty() {
-            return PathBuf::from(xdg).join("spnn").join("rows");
-        }
-    }
-    if let Some(home) = std::env::var_os("HOME") {
-        if !home.is_empty() {
-            return PathBuf::from(home).join(".cache").join("spnn").join("rows");
-        }
-    }
-    PathBuf::from(".spnn-rowcache")
-}
-
-/// What `spnn rowcache ls` shows for one store file.
-#[derive(Debug, Clone)]
-pub struct RowEntry {
-    /// Full path of the file.
-    pub path: PathBuf,
-    /// The 32-hex-character key from the file name.
-    pub key_hex: String,
-    /// `"row"` or `"manifest"` (from the file-name prefix).
-    pub kind: &'static str,
-    /// A short human summary (`"12 samples"` / `"9 points"`), when the
-    /// file parses cleanly.
-    pub detail: Option<String>,
-    /// File size in bytes.
-    pub size_bytes: u64,
-    /// `false` when the file is corrupt or from another format version
-    /// (such entries are recompute-on-load and safe to remove).
-    pub ok: bool,
-}
-
-/// Lists the row-store files under `dir` (sorted by file name). A missing
-/// directory lists as empty rather than erroring.
-///
-/// # Errors
-///
-/// Returns the underlying I/O error if the directory exists but cannot be
-/// read.
-pub fn list_entries(dir: &Path) -> std::io::Result<Vec<RowEntry>> {
-    let mut out = Vec::new();
-    let rd = match std::fs::read_dir(dir) {
-        Ok(rd) => rd,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(out),
-        Err(e) => return Err(e),
-    };
-    for entry in rd {
-        let entry = entry?;
-        let path = entry.path();
-        if path.extension().and_then(|e| e.to_str()) != Some(EXTENSION) {
-            continue;
-        }
-        let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
-        let (kind, key_hex) = match (stem.strip_prefix("row-"), stem.strip_prefix("man-")) {
-            (Some(hex), _) => ("row", hex.to_string()),
-            (_, Some(hex)) => ("manifest", hex.to_string()),
-            _ => ("row", String::new()),
-        };
-        let size_bytes = entry.metadata().map(|m| m.len()).unwrap_or(0);
-        let detail = std::fs::read(&path).ok().and_then(|bytes| match kind {
-            "row" => deserialize_row(&bytes)
-                .ok()
-                .map(|(_, p)| format!("{} samples", p.samples.len())),
-            _ => deserialize_manifest(&bytes)
-                .ok()
-                .map(|(_, m)| format!("{} points", m.row_keys.len())),
-        });
-        let ok = detail.is_some();
-        out.push(RowEntry {
-            path,
-            key_hex,
-            kind,
-            detail,
-            size_bytes,
-            ok,
-        });
-    }
-    out.sort_by(|a, b| a.path.cmp(&b.path));
-    Ok(out)
-}
-
-/// Evicts row-store files least-recently-written-first until the store
-/// fits `limits`, and sweeps stale `.tmp-*` files — the exact policy of
-/// [`crate::cache::gc`], applied to `.spnnrow` entries. Rows are
-/// deterministic recompute-on-miss artifacts, so eviction can cost time
-/// but never correctness.
-///
-/// # Errors
-///
-/// Returns the underlying I/O error if the directory or an entry cannot
-/// be read or removed (vanished files are tolerated).
-pub fn gc(dir: &Path, limits: &GcLimits) -> std::io::Result<GcOutcome> {
-    gc_with_extension(dir, limits, EXTENSION)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::{gc, list, GcLimits};
     use proptest::prelude::*;
     use spnn_core::McResult;
 
@@ -977,20 +787,17 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_used() {
-        let cache = RowCache::in_memory().with_mem_capacity(2);
-        let ctx = RowContext::of_spec(&ScenarioSpec::default());
-        let keys: Vec<RowKey> = (0..3)
-            .map(|i| ctx.key("clements", &[("sigma", format!("{i}"))]))
-            .collect();
-        cache.put(&keys[0], point(vec![0.1], false));
-        cache.put(&keys[1], point(vec![0.2], false));
+        let mut tier = MemTier::new(2);
+        let keys: Vec<[u8; 16]> = (0..3u8).map(|i| [i; 16]).collect();
+        assert_eq!(tier.insert(keys[0], Arc::new(point(vec![0.1], false))), 0);
+        assert_eq!(tier.insert(keys[1], Arc::new(point(vec![0.2], false))), 0);
         // Touch key 0 so key 1 is the LRU victim.
-        assert!(cache.get(&keys[0]).is_some());
-        cache.put(&keys[2], point(vec![0.3], false));
-        assert_eq!(cache.stats().evictions, 1);
-        assert!(cache.get(&keys[0]).is_some());
-        assert!(cache.get(&keys[1]).is_none());
-        assert!(cache.get(&keys[2]).is_some());
+        assert!(tier.get(&keys[0]).is_some());
+        let evictions = tier.insert(keys[2], Arc::new(point(vec![0.3], false)));
+        assert_eq!(evictions, 1);
+        assert!(tier.get(&keys[0]).is_some());
+        assert!(tier.get(&keys[1]).is_none());
+        assert!(tier.get(&keys[2]).is_some());
     }
 
     #[test]
@@ -998,7 +805,7 @@ mod tests {
         let dir = tmp_dir("heal");
         let p = point(vec![0.5, 0.75], false);
         let key = key_for(&p);
-        let path = dir.join(format!("row-{}.{EXTENSION}", key.hex()));
+        let path = dir.join(format!("row-{}.spnnrow", key.hex()));
 
         // Truncation.
         {
@@ -1052,8 +859,8 @@ mod tests {
         cache.put(&key, p);
         let ctx = RowContext::of_spec(&ScenarioSpec::default());
         let other = ctx.key("reck", &[("sigma", "0.9")]);
-        let from = dir.join(format!("row-{}.{EXTENSION}", key.hex()));
-        let to = dir.join(format!("row-{}.{EXTENSION}", other.hex()));
+        let from = dir.join(format!("row-{}.spnnrow", key.hex()));
+        let to = dir.join(format!("row-{}.spnnrow", other.hex()));
         std::fs::rename(&from, &to).unwrap();
         let fresh = RowCache::on_disk(dir.clone());
         assert!(fresh.get(&other).is_none());
@@ -1104,6 +911,7 @@ mod tests {
 
         let outcome = gc(
             &dir,
+            &LAYOUT,
             &GcLimits {
                 max_entries: Some(2),
                 max_bytes: None,
@@ -1118,7 +926,7 @@ mod tests {
         assert!(!stale.exists());
         assert!(fresh.exists(), "in-flight tmp files must survive gc");
         assert_eq!(
-            list_entries(&dir).unwrap().len(),
+            list(&dir, &LAYOUT).unwrap().len(),
             2,
             "entry cap must hold after gc"
         );

@@ -58,11 +58,11 @@
 //! See `docs/sharding.md` for the CLI workflow and the format reference.
 
 use crate::estimator::{StopRule, Welford};
-use crate::fnv::{fnv1a64, FNV_BASIS};
 use crate::json::{self, Json};
 use crate::metrics::{Counter, Gauge, MetricsRegistry};
 use crate::runner::{EngineReport, SweepRow, TopologySummary};
 use crate::spec::ScenarioSpec;
+use crate::store;
 use spnn_core::{KernelProfile, McResult};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -379,8 +379,8 @@ impl fmt::Display for Slice {
     }
 }
 
-/// The queue fingerprint of a spec: a 128-bit FNV-1a key over the spec's
-/// canonical text form, rendered as 32 lowercase hex characters.
+/// The queue fingerprint of a spec: the 128-bit [`crate::store`] content
+/// key of the spec's canonical text form, as 32 lowercase hex characters.
 ///
 /// [`ScenarioSpec::to_text`] round-trips exactly, so two specs share a
 /// fingerprint iff they compile to the same work queue (same points, same
@@ -404,13 +404,7 @@ pub fn queue_fingerprint_with(spec: &ScenarioSpec, kernel: KernelProfile) -> Str
         KernelProfile::Reference => format!("spnn-queue-v1;{}", spec.to_text()),
         KernelProfile::Fma => format!("spnn-queue-v1;kernel=fma;{}", spec.to_text()),
     };
-    let a = fnv1a64(canonical.as_bytes(), FNV_BASIS);
-    let b = fnv1a64(canonical.as_bytes(), 0x6c62272e07bb0142);
-    let mut out = String::with_capacity(32);
-    for byte in a.to_le_bytes().iter().chain(b.to_le_bytes().iter()) {
-        let _ = write!(out, "{byte:02x}");
-    }
-    out
+    store::hex(&store::content_key(&canonical))
 }
 
 // ---------------------------------------------------------------------------
