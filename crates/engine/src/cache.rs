@@ -48,7 +48,7 @@
 
 use crate::metrics::{Counter, MetricsRegistry};
 use crate::spec::ScenarioSpec;
-use crate::store::{self, Format, Kind, Layout, LoadError, Reader, Writer};
+use crate::store::{self, Flown, Format, Kind, Layout, LoadError, Reader, SingleFlight, Writer};
 use crate::tevent;
 use crate::trace::Level;
 use spnn_core::network::{PhotonicLayer, SpnnError};
@@ -334,12 +334,10 @@ pub struct CacheStats {
 pub struct ContextCache {
     dir: Option<PathBuf>,
     mem: Mutex<HashMap<[u8; 16], Arc<TrainedContext>>>,
-    /// Per-fingerprint in-flight gates: concurrent [`Self::get_or_train`]
-    /// calls for the *same* fingerprint serialize, so the second caller
-    /// finds the first one's context in memory instead of training it
-    /// again. Different fingerprints stay fully concurrent. (One gate per
-    /// distinct fingerprint ever requested — a handful of small Arcs.)
-    pending: Mutex<HashMap<[u8; 16], Arc<Mutex<()>>>>,
+    /// In-flight trainings: concurrent [`Self::get_or_train`] calls for
+    /// the *same* fingerprint share one load-or-train, and different
+    /// fingerprints stay fully concurrent.
+    flights: SingleFlight<TrainedContext>,
     /// Per-cache [`Counter`] handles (not process globals, so unit tests
     /// running many caches in one process stay exact). A server adopts
     /// these same handles into its registry via [`Self::register_metrics`],
@@ -358,7 +356,7 @@ impl ContextCache {
         Self {
             dir,
             mem: Mutex::new(HashMap::new()),
-            pending: Mutex::new(HashMap::new()),
+            flights: SingleFlight::new(),
             mem_hits: Counter::new(),
             disk_hits: Counter::new(),
             trains: Counter::new(),
@@ -440,12 +438,14 @@ impl ContextCache {
     /// only the spec fields covered by [`Fingerprint`] influence the
     /// result, which is bit-identical across all three paths.
     ///
-    /// In-flight training is deduplicated per fingerprint: when several
-    /// threads request the same context concurrently (e.g. identical
-    /// `spnn serve` requests), exactly one trains while the others wait
-    /// and then take the memory hit — `stats().trains` rises by one, not
-    /// by the number of callers. Requests for *different* fingerprints
-    /// train concurrently.
+    /// In-flight training is deduplicated per fingerprint through a
+    /// `store::SingleFlight`: when several threads request the same context
+    /// concurrently (e.g. identical `spnn serve` requests), exactly one
+    /// loads or trains while the others wait and receive its context,
+    /// counted as memory hits — `stats().trains` rises by one, not by the
+    /// number of callers. Requests for *different* fingerprints train
+    /// concurrently, and a trainer that panics releases its waiters (one
+    /// of them trains instead).
     ///
     /// With a persistence directory, the same holds **across
     /// processes**: a cold cache miss takes an advisory file lock
@@ -458,27 +458,32 @@ impl ContextCache {
     /// so a lost race only wastes work, never changes bits.
     pub fn get_or_train(&self, spec: &ScenarioSpec, verbose: bool) -> Arc<TrainedContext> {
         let fp = Fingerprint::of_spec(spec);
-        // Fast path: no gate needed when the context is already in memory.
-        if let Some(ctx) = self.mem.lock().expect("cache lock").get(&fp.key) {
+        let key = fp.key;
+        let in_memory = move || self.mem.lock().expect("cache lock").get(&key).cloned();
+        // Fast path: no flight needed when the context is already in memory.
+        if let Some(ctx) = in_memory() {
             self.mem_hits.inc();
-            return Arc::clone(ctx);
+            return ctx;
         }
-
-        let gate = Arc::clone(
-            self.pending
+        let (ctx, flown) = self.flights.run(key, in_memory, || {
+            let ctx = Arc::new(self.load_or_train(spec, fp, verbose));
+            self.mem
                 .lock()
-                .expect("pending lock")
-                .entry(fp.key)
-                .or_default(),
-        );
-        let _in_flight = gate.lock().expect("in-flight training gate");
-        // Re-check under the gate: a concurrent caller may have finished
-        // training while this one waited.
-        if let Some(ctx) = self.mem.lock().expect("cache lock").get(&fp.key) {
+                .expect("cache lock")
+                .insert(key, Arc::clone(&ctx));
+            ctx
+        });
+        // A joined or re-checked context is one the memory tier served.
+        if flown != Flown::Computed {
             self.mem_hits.inc();
-            return Arc::clone(ctx);
         }
+        ctx
+    }
 
+    /// The cold half of [`Self::get_or_train`], run by the one caller
+    /// that leads the fingerprint's flight: load from disk, else train
+    /// (under the cross-process lock) and persist.
+    fn load_or_train(&self, spec: &ScenarioSpec, fp: Fingerprint, verbose: bool) -> TrainedContext {
         // Held (when acquirable) from just before training until the
         // trained entry is persisted, releasing on every return path.
         let mut _file_lock: Option<std::fs::File> = None;
@@ -489,7 +494,14 @@ impl ContextCache {
                     deserialize_context(bytes, Some(&fp))
                 })
             };
-            if let Some(ctx) = load() {
+            // A cold miss serializes cross-process training on an advisory
+            // file lock, then re-checks — another process may have trained
+            // and persisted the entry while this one waited.
+            let loaded = load().or_else(|| {
+                _file_lock = advisory_lock(dir, &fp, verbose, Some(&self.flock_waits));
+                _file_lock.as_ref().and_then(|_| load())
+            });
+            if let Some(ctx) = loaded {
                 self.disk_hits.inc();
                 if verbose {
                     eprintln!(
@@ -499,25 +511,7 @@ impl ContextCache {
                         ctx.n_mappings()
                     );
                 }
-                return self.adopt(ctx);
-            }
-            // Cold miss: serialize cross-process training on an advisory
-            // file lock, then re-check — another process may have trained
-            // and persisted the entry while this one waited.
-            _file_lock = advisory_lock(dir, &fp, verbose, Some(&self.flock_waits));
-            if _file_lock.is_some() {
-                if let Some(ctx) = load() {
-                    self.disk_hits.inc();
-                    if verbose {
-                        eprintln!(
-                            "[cache] {}: loaded trained context {} (trained by a \
-                             concurrent process)",
-                            spec.name,
-                            fp.short()
-                        );
-                    }
-                    return self.adopt(ctx);
-                }
+                return ctx;
             }
         }
 
@@ -530,7 +524,6 @@ impl ContextCache {
             );
         }
         let ctx = train_context(spec, fp, verbose);
-        let ctx = self.adopt(ctx);
         if let Err(e) = self.persist(&ctx) {
             if verbose {
                 eprintln!("[cache] warning: could not persist context: {e}");
@@ -566,19 +559,6 @@ impl ContextCache {
         ctx.persisted_mappings
             .store(n_serialized, Ordering::Relaxed);
         Ok(())
-    }
-
-    /// Inserts `ctx` into the in-memory map, returning the canonical copy
-    /// (an identical context may already be present).
-    fn adopt(&self, ctx: TrainedContext) -> Arc<TrainedContext> {
-        let key = ctx.fingerprint.key;
-        Arc::clone(
-            self.mem
-                .lock()
-                .expect("cache lock")
-                .entry(key)
-                .or_insert_with(|| Arc::new(ctx)),
-        )
     }
 }
 
@@ -1048,10 +1028,11 @@ mod tests {
         assert_eq!((s.trains, s.mem_hits, s.disk_hits), (1, 1, 0));
     }
 
-    /// Concurrent requests for one fingerprint must serialize on the
-    /// in-flight gate: exactly one trains, the rest take memory hits —
-    /// the guarantee `spnn serve` relies on for simultaneous identical
-    /// requests.
+    /// Concurrent requests for one fingerprint must share one flight:
+    /// exactly one trains, the rest take memory hits — the guarantee
+    /// `spnn serve` relies on for simultaneous identical requests. The
+    /// flight table empties afterwards (it keeps no entry per fingerprint
+    /// ever requested).
     #[test]
     fn concurrent_same_fingerprint_requests_train_once() {
         let cache = Arc::new(ContextCache::in_memory());
@@ -1072,6 +1053,7 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.trains, 1, "exactly one thread may train");
         assert_eq!(s.mem_hits, 3, "the waiters take memory hits");
+        assert_eq!(cache.flights.in_flight(), 0);
     }
 
     /// The advisory lock is exclusive across holders (flock contends per

@@ -557,13 +557,19 @@ fn parse_response(raw: &[u8]) -> io::Result<FetchResponse> {
     }
     let body_start = head_end + 4;
     let body = match content_length {
-        Some(n) if raw.len() >= body_start + n => raw[body_start..body_start + n].to_vec(),
-        Some(n) => {
-            return Err(bad(&format!(
-                "response truncated: {} of {n} body byte(s)",
-                raw.len().saturating_sub(body_start)
-            )))
-        }
+        // Checked: a hostile length must not wrap the end offset.
+        Some(n) => match body_start
+            .checked_add(n)
+            .and_then(|end| raw.get(body_start..end))
+        {
+            Some(body) => body.to_vec(),
+            None => {
+                return Err(bad(&format!(
+                    "response truncated: {} of {n} body byte(s)",
+                    raw.len().saturating_sub(body_start)
+                )))
+            }
+        },
         None => raw[body_start..].to_vec(),
     };
     Ok(FetchResponse { status, body })
@@ -714,6 +720,17 @@ mod tests {
         assert!(parse_response(b"no head end").is_err());
         let ok = parse_response(b"HTTP/1.1 204 No Content\r\n\r\n").unwrap();
         assert_eq!((ok.status, ok.body.len()), (204, 0));
+    }
+
+    /// A `Content-Length` near `usize::MAX` must not wrap the body's end
+    /// offset: it is a truncated response (`InvalidData`), not a panic.
+    #[test]
+    fn response_parser_rejects_overflowing_content_length() {
+        for n in [u64::MAX, u64::MAX - 56, u64::MAX / 2] {
+            let raw = format!("HTTP/1.1 200 OK\r\nContent-Length: {n}\r\n\r\n{{}}");
+            let err = parse_response(raw.as_bytes()).expect_err("truncated");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{n}: {err}");
+        }
     }
 
     #[test]

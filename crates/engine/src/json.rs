@@ -85,11 +85,18 @@ impl Json {
     }
 }
 
-/// Parses a complete JSON document (trailing garbage is an error).
+/// The deepest array/object nesting [`parse`] accepts. Real documents
+/// (partial reports, NDJSON events) nest about 4 deep; the cap keeps a
+/// hostile document from overflowing the recursive descent's stack.
+const MAX_DEPTH: usize = 128;
+
+/// Parses a complete JSON document (trailing garbage is an error, and so
+/// is nesting deeper than [`MAX_DEPTH`]).
 pub(crate) fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -103,6 +110,8 @@ pub(crate) fn parse(text: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -140,8 +149,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -421,6 +441,26 @@ mod tests {
             "\"\\ud800x\"",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} parsed");
+        }
+    }
+
+    /// Nesting past [`MAX_DEPTH`] is a parse error, not a stack overflow
+    /// — for arrays, objects and mixtures, closed or not.
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let objects = |n: usize| format!("{}1{}", "{\"a\":".repeat(n), "}".repeat(n));
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        for doc in [
+            arrays(MAX_DEPTH + 1),
+            objects(MAX_DEPTH + 1),
+            "[".repeat(200_000),
+            "{\"a\":".repeat(200_000),
+            "[{\"a\":".repeat(100_000),
+        ] {
+            let err = parse(&doc).expect_err("too deep");
+            assert!(err.contains("nesting deeper than 128"), "{err}");
         }
     }
 }

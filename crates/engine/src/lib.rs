@@ -42,9 +42,10 @@
 //!   their delta and replayed reports stay byte-identical.
 //! - [`store`] — the content-addressed on-disk store both caches share:
 //!   the 128-bit content key, the checksummed record envelope, atomic
-//!   publish with a per-write temporary name, heal-on-corrupt loads, and
-//!   the `ls`/`rm`/`gc` directory operations. Each cache supplies only
-//!   its payload codec and file [`store::Layout`].
+//!   publish with a per-write temporary name, heal-on-corrupt loads, the
+//!   single flight that makes concurrent misses of one key compute once,
+//!   and the `ls`/`rm`/`gc` directory operations. Each cache supplies
+//!   only its payload codec and file [`store::Layout`].
 //! - [`shard`] — distributed shard-and-merge execution: a deterministic
 //!   planner partitions the compiled queue's rounds across `k` processes
 //!   (`spnn run --shards k --shard-index i`, or `--shards k --spawn` for

@@ -39,7 +39,7 @@ use crate::cache::Fingerprint;
 use crate::metrics::{Counter, MetricsRegistry};
 use crate::runner::TopologySummary;
 use crate::spec::ScenarioSpec;
-use crate::store::{self, Format, Kind, Layout, LoadError, Reader};
+use crate::store::{self, Flown, Format, Kind, Layout, LoadError, Reader, SingleFlight};
 use spnn_core::KernelProfile;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -441,14 +441,19 @@ pub struct RowCacheStats {
 /// The two-tier row store. Cheap to share (`Arc` it into
 /// [`crate::runner::EngineConfig::row_cache`]); all methods take `&self`.
 ///
-/// Concurrent writers of the same row are benign: both produce identical
-/// bytes (rows are pure functions of their key) and each [`crate::store`]
-/// publish renames a complete file of its own, so the last rename wins
-/// with the same content.
+/// Within one process, concurrent misses of one row compute it once
+/// (`RowCache::get_or_compute`): every run sharing the cache — e.g. all
+/// `spnn serve` requests — shares the rows it has in flight. Across
+/// processes, concurrent writers of the same row are benign: both produce
+/// identical bytes (rows are pure functions of their key) and each
+/// [`crate::store`] publish renames a complete file of its own, so the
+/// last rename wins with the same content.
 #[derive(Debug)]
 pub struct RowCache {
     dir: Option<PathBuf>,
     rows: Mutex<MemTier<CachedPoint>>,
+    /// Rows being computed, keyed like `rows`.
+    flights: SingleFlight<CachedPoint>,
     manifests: Mutex<MemTier<RowManifest>>,
     mem_hits: Counter,
     disk_hits: Counter,
@@ -464,6 +469,7 @@ impl RowCache {
         Self {
             dir,
             rows: Mutex::new(MemTier::new(DEFAULT_MEM_ROWS)),
+            flights: SingleFlight::new(),
             manifests: Mutex::new(MemTier::new(MEM_MANIFESTS)),
             mem_hits: Counter::new(),
             disk_hits: Counter::new(),
@@ -474,8 +480,8 @@ impl RowCache {
         }
     }
 
-    /// A memory-only store (tests, `--no-row-cache` would rather disable
-    /// the cache entirely, but serve-level dedup tests want a shared one).
+    /// A memory-only store: rows are shared — and single-flighted — only
+    /// among the runs holding this instance (e.g. one server's requests).
     pub fn in_memory() -> Self {
         Self::new(None)
     }
@@ -542,11 +548,40 @@ impl RowCache {
         Some(point)
     }
 
+    /// The row under `key`: from [`RowCache::get`], else computed by
+    /// `compute` and published. Concurrent callers that miss one key share
+    /// one computation: the first claims the key, re-checks the memory
+    /// tier, computes and publishes; the others wait and receive its row
+    /// once it is published (counted in `spnn_rowcache_dedup_total`).
+    /// `compute` must not itself wait on another row.
+    pub(crate) fn get_or_compute(
+        &self,
+        key: &RowKey,
+        compute: impl FnOnce() -> CachedPoint,
+    ) -> Arc<CachedPoint> {
+        if let Some(hit) = self.get(key) {
+            return hit;
+        }
+        let in_memory = || self.rows.lock().unwrap().get(&key.key);
+        let (point, flown) = self.flights.run(key.key, in_memory, || {
+            let point = Arc::new(compute());
+            self.publish(key, Arc::clone(&point));
+            point
+        });
+        if flown == Flown::Found {
+            self.mem_hits.inc();
+        }
+        point
+    }
+
     /// Publishes a row under its key: into the memory tier always, and to
     /// disk unless an entry already exists there (identical content by
     /// construction, so rewriting would be wasted I/O).
     pub fn put(&self, key: &RowKey, point: CachedPoint) {
-        let point = Arc::new(point);
+        self.publish(key, Arc::new(point));
+    }
+
+    fn publish(&self, key: &RowKey, point: Arc<CachedPoint>) {
         let evicted = self
             .rows
             .lock()
@@ -658,6 +693,18 @@ impl RowCache {
             "Corrupt row-cache files healed by recompute.",
             &[],
             &self.corrupt_healed,
+        );
+        registry.register_counter(
+            "spnn_rowcache_dedup_total",
+            "Rows received from another run's in-flight computation instead of computed.",
+            &[],
+            &self.flights.joined,
+        );
+        registry.register_gauge(
+            "spnn_rowcache_dedup_subscribers",
+            "Callers currently waiting on a row another run is computing.",
+            &[],
+            &self.flights.waiting,
         );
     }
 }

@@ -1003,9 +1003,14 @@ pub(crate) fn execute_partial(
 /// spans, and fleet-local peers — goes through here.
 ///
 /// Each block is served from the row cache when possible, otherwise
-/// computed with [`run_point_range`]; a cold prefix block that determined
-/// its whole point is published to the row cache. Finished blocks are
-/// handed to `on_block` in block order, the moment they complete.
+/// computed with [`run_point_range`]. A whole-point block goes through
+/// [`RowCache::get_or_compute`], so runs sharing a row cache compute each
+/// row once even when they miss it concurrently; a cold prefix block of a
+/// shard that stopped early is published too. Blocks are claimed one at
+/// a time, so a run never waits on a row while computing another.
+/// Finished blocks are handed to `on_block` in block order, the moment
+/// they complete — after the row is published, so a slow `on_block`
+/// never delays the runs waiting on it.
 /// `config` supplies threads, verbosity and the metrics registry; the
 /// kernel and row cache are the ones `prep` was prepared under.
 ///
@@ -1021,6 +1026,7 @@ pub(crate) fn execute_blocks(
     on_block: &mut dyn FnMut(PartialPoint),
 ) -> Result<(), EngineError> {
     let cap = prep.stop.max_iterations;
+    let rounds_per_point = cap.div_ceil(prep.round_size);
     let counters = SweepCounters::new(&config.metrics);
     for block in blocks {
         if cancel.is_some_and(|c| c.is_cancelled()) {
@@ -1031,8 +1037,41 @@ pub(crate) fn execute_blocks(
             .rows
             .as_ref()
             .map(|(rc, ctx)| (rc, ctx.key(point.topology, &point.item.labels)));
+        let mut seconds = None;
+        let mut compute = || {
+            let block_span = Span::start("block", counters.rounds_hist.clone());
+            let r = run_point_range(
+                &point.hardware,
+                &point.item.plan,
+                &point.item.effects,
+                &prep.split.batch,
+                &prep.stop,
+                prep.round_size,
+                point.item.seed,
+                config.threads,
+                prep.kernel,
+                block.first_round,
+                block.rounds,
+            );
+            seconds = Some(block_span.finish().as_secs_f64());
+            counters.record(r.samples.len(), prep.round_size, r.stopped_early);
+            r
+        };
+        let cached_point = |r: RangeResult| CachedPoint {
+            topology: point.topology.to_string(),
+            labels: owned_labels(&point.item),
+            samples: r.samples,
+            stopped_early: r.stopped_early,
+        };
+        // A whole-point block is the row itself: runs sharing the row
+        // cache compute it once even when they miss it concurrently.
+        let whole = block.first_round == 0 && block.rounds == rounds_per_point;
         let served = key.as_ref().and_then(|(rc, key)| {
-            let cached = rc.get(key)?;
+            let cached = if whole {
+                rc.get_or_compute(key, || cached_point(compute()))
+            } else {
+                rc.get(key)?
+            };
             serve_block_from_cache(
                 &cached,
                 cap,
@@ -1041,28 +1080,17 @@ pub(crate) fn execute_blocks(
                 block.rounds,
             )
         });
-        let (r, seconds) = match served {
-            Some(r) => (r, None),
-            None => {
-                let block_span = Span::start("block", counters.rounds_hist.clone());
-                let r = run_point_range(
-                    &point.hardware,
-                    &point.item.plan,
-                    &point.item.effects,
-                    &prep.split.batch,
-                    &prep.stop,
-                    prep.round_size,
-                    point.item.seed,
-                    config.threads,
-                    prep.kernel,
-                    block.first_round,
-                    block.rounds,
-                );
-                let elapsed = block_span.finish();
-                counters.record(r.samples.len(), prep.round_size, r.stopped_early);
-                (r, Some(elapsed.as_secs_f64()))
+        let r = served.unwrap_or_else(|| {
+            let r = compute();
+            // A cold shard prefix that stopped early alone determined its
+            // whole point — publish the stream for the next sweep.
+            if block.first_round == 0 && r.stopped_early {
+                if let Some((rc, key)) = &key {
+                    rc.put(key, cached_point(r.clone()));
+                }
             }
-        };
+            r
+        });
         let from_cache = seconds.is_none();
         tevent!(
             Level::Trace,
@@ -1076,22 +1104,6 @@ pub(crate) fn execute_blocks(
             from_cache = from_cache,
             seconds = seconds.unwrap_or(0.0),
         );
-        // A cold prefix block that alone determined the whole point (it
-        // stopped early, or it ran every round to the cap) is a complete
-        // sample stream — publish it for the next overlapping sweep.
-        if !from_cache && block.first_round == 0 && (r.stopped_early || r.samples.len() == cap) {
-            if let Some((rc, key)) = &key {
-                rc.put(
-                    key,
-                    CachedPoint {
-                        topology: point.topology.to_string(),
-                        labels: owned_labels(&point.item),
-                        samples: r.samples.clone(),
-                        stopped_early: r.stopped_early,
-                    },
-                );
-            }
-        }
         let mut est = Welford::new();
         for &s in &r.samples {
             est.push(s);

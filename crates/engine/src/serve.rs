@@ -8,17 +8,19 @@
 //! **NDJSON** — one JSON object per line — with every sweep point's row
 //! pushed the moment it completes. One process-lifetime
 //! [`ContextCache`] is shared by all requests, so repeat scenarios skip
-//! training entirely, and concurrent identical requests train **once**
-//! (the cache serializes in-flight training per fingerprint).
+//! training entirely, and concurrent requests for one training
+//! fingerprint train **once** (the cache single-flights training).
 //!
 //! With a row cache configured ([`EngineConfig::row_cache`]; the CLI
-//! enables one by default — see `docs/row-cache.md`), finished sweep
-//! points are also memoized **across requests**, and identical in-flight
-//! `/run` bodies share one *execution*: the first request runs the
-//! scenario, every concurrent duplicate subscribes to the same stream
-//! and receives byte-identical output (counted by
-//! `spnn_rowcache_dedup_total`, with current fan-out in the
-//! `spnn_rowcache_dedup_subscribers` gauge).
+//! enables one by default — see `docs/row-cache.md`), sweep points are
+//! also shared **across requests**, finished or in flight: a request
+//! that misses a row another request is computing waits for that row
+//! instead of recomputing it (`RowCache::get_or_compute`;
+//! joins are counted by `spnn_rowcache_dedup_total`, current waiters in
+//! the `spnn_rowcache_dedup_subscribers` gauge). Identical bodies are
+//! the special case where every row is shared; overlapping bodies share
+//! their common rows. Each request still streams its own rows to its own
+//! socket, so a slow client delays nobody else.
 //!
 //! # Endpoints
 //!
@@ -122,7 +124,7 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Per-request work ceilings, enforced on `POST /run`. A request whose
@@ -354,100 +356,6 @@ impl Default for ServeConfig {
     }
 }
 
-/// Run counters, served by `GET /healthz`.
-#[derive(Debug, Clone, Copy, Default)]
-struct Counters {
-    started: u64,
-    completed: u64,
-    failed: u64,
-    shards_completed: u64,
-    shards_failed: u64,
-}
-
-/// Identity of an in-flight `/run` execution: the exact request body plus
-/// the stream format. Requests with equal keys produce byte-identical
-/// streams, so they can share one execution.
-type RunKey = (Vec<u8>, u8);
-
-/// The shared stream buffer of one in-flight `/run` execution: the
-/// leader appends each emitted line, subscribers replay and then follow.
-struct RunBuffer {
-    /// Every line emitted so far, in stream order.
-    lines: Vec<String>,
-    /// `true` once the execution ended (successfully or not).
-    done: bool,
-    /// The execution outcome, meaningful once `done`.
-    ok: bool,
-}
-
-/// One in-flight `/run` execution being fanned out to every request with
-/// the same [`RunKey`]. The leader only ever appends and subscribers only
-/// ever read, so a slow or disconnected subscriber cannot affect the
-/// leader or its peers.
-struct InflightRun {
-    buffer: Mutex<RunBuffer>,
-    cv: Condvar,
-}
-
-impl InflightRun {
-    fn new() -> Self {
-        InflightRun {
-            buffer: Mutex::new(RunBuffer {
-                lines: Vec::new(),
-                done: false,
-                ok: false,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// The buffer, poison-proof: a panicking leader must not wedge its
-    /// subscribers (the buffer is always structurally valid — appends
-    /// and flag flips cannot tear).
-    fn lock_buffer(&self) -> MutexGuard<'_, RunBuffer> {
-        self.buffer.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    fn push_line(&self, line: &str) {
-        self.lock_buffer().lines.push(line.to_string());
-        self.cv.notify_all();
-    }
-
-    /// Marks the execution finished and releases every subscriber. The
-    /// first call wins; later calls (the leader's cleanup guard) are
-    /// no-ops.
-    fn finish(&self, ok: bool) {
-        let mut buf = self.lock_buffer();
-        if !buf.done {
-            buf.done = true;
-            buf.ok = ok;
-        }
-        drop(buf);
-        self.cv.notify_all();
-    }
-}
-
-/// Removes the leader's in-flight map entry when its request ends — and,
-/// should the leader die between registering and finishing, releases
-/// waiting subscribers with a failed outcome so none of them blocks
-/// forever.
-struct LeaderGuard<'a> {
-    state: &'a ServerState,
-    key: RunKey,
-    run: Arc<InflightRun>,
-}
-
-impl Drop for LeaderGuard<'_> {
-    fn drop(&mut self) {
-        self.state
-            .inflight_runs
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .remove(&self.key);
-        self.run.finish(false); // no-op after a clean finish
-    }
-}
-
 /// One client's token-bucket state (see [`QuotaConfig`]).
 struct ClientBucket {
     tokens: f64,
@@ -490,14 +398,6 @@ struct ServerState {
     shards_completed: Counter,
     shards_failed: Counter,
     in_flight: Gauge,
-    /// In-flight `/run` executions, for cross-request dedup: the first
-    /// request with a given key leads, identical concurrent requests
-    /// subscribe to its stream.
-    inflight_runs: Mutex<HashMap<RunKey, Arc<InflightRun>>>,
-    /// Requests served by subscribing to another request's execution.
-    dedup_fanouts: Counter,
-    /// Requests currently subscribed to another request's stream.
-    dedup_subscribers: Gauge,
     /// Admission-queue capacity and deadline (see
     /// [`ServeConfig::queue_depth`] / [`ServeConfig::queue_wait`]).
     queue_depth: usize,
@@ -526,16 +426,6 @@ struct ServerState {
 }
 
 impl ServerState {
-    fn counters(&self) -> Counters {
-        Counters {
-            started: self.started.get(),
-            completed: self.completed.get(),
-            failed: self.failed.get(),
-            shards_completed: self.shards_completed.get(),
-            shards_failed: self.shards_failed.get(),
-        }
-    }
-
     /// `worker` when serving sweeps in-process, `coordinator` when
     /// dispatching to remote workers.
     fn role(&self) -> &'static str {
@@ -639,17 +529,6 @@ impl Server {
                 in_flight: registry.gauge(
                     "spnn_requests_in_flight",
                     "Requests currently being handled.",
-                    &[],
-                ),
-                inflight_runs: Mutex::new(HashMap::new()),
-                dedup_fanouts: counter(
-                    "spnn_rowcache_dedup_total",
-                    "Identical in-flight /run requests served by subscribing to \
-                     another request's execution.",
-                ),
-                dedup_subscribers: registry.gauge(
-                    "spnn_rowcache_dedup_subscribers",
-                    "Requests currently subscribed to another request's /run stream.",
                     &[],
                 ),
                 queue_depth: config.queue_depth.max(1),
@@ -1152,7 +1031,6 @@ fn handle_connection(stream: TcpStream, state: &ServerState) {
             }
         },
         ("GET", "/healthz") => {
-            let c = state.counters();
             // Coordinator role: per-worker breaker state, so an operator
             // (or orchestration probe) sees which workers are being
             // skipped without scraping /metrics.
@@ -1185,11 +1063,11 @@ fn handle_connection(stream: TcpStream, state: &ServerState) {
                 state.started_at.elapsed().as_secs(),
                 state.workers,
                 state.remote_workers.len(),
-                c.started,
-                c.completed,
-                c.failed,
-                c.shards_completed,
-                c.shards_failed
+                state.started.get(),
+                state.completed.get(),
+                state.failed.get(),
+                state.shards_completed.get(),
+                state.shards_failed.get()
             );
             let _ = Response::json(200, body).write_to(&mut writer);
             200
@@ -1353,45 +1231,14 @@ fn handle_run(request: &Request, writer: &mut impl Write, state: &ServerState) -
         StreamFormat::Csv => "text/csv",
     };
 
-    // Cross-request dedup: identical in-flight bodies share one
-    // execution. The first request with a given (body, format) key runs
-    // the scenario; every concurrent duplicate subscribes to its stream
-    // and receives byte-identical output.
-    let key: RunKey = (request.body.clone(), format as u8);
-    let run = {
-        let mut map = state
-            .inflight_runs
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        match map.get(&key) {
-            Some(run) => {
-                let run = Arc::clone(run);
-                drop(map);
-                return follow_run(&run, writer, state, content_type);
-            }
-            None => {
-                let run = Arc::new(InflightRun::new());
-                map.insert(key.clone(), Arc::clone(&run));
-                run
-            }
-        }
-    };
-    let _guard = LeaderGuard {
-        state,
-        key,
-        run: Arc::clone(&run),
-    };
-
     state.started.inc();
     // A client that disconnects mid-stream (or before the head is even
-    // out) must not kill the run: subscribers may be sharing this
-    // stream, and the sweep completes either way — warming the shared
-    // caches for the retry. Further writes to this socket are skipped.
+    // out) must not kill the run: other requests may be waiting on the
+    // rows it computes, and the sweep completes either way — warming the
+    // shared caches for the retry. Further writes to this socket are
+    // skipped.
     let mut broken = Response::write_streaming_head(writer, 200, content_type).is_err();
     let mut emit = |line: String| {
-        // Subscribers first: the shared buffer is never gated by this
-        // socket's state.
-        run.push_line(&line);
         if broken {
             return;
         }
@@ -1486,7 +1333,6 @@ fn handle_run(request: &Request, writer: &mut impl Write, state: &ServerState) -
                 }
             }
             state.completed.inc();
-            run.finish(true);
         }
         Err(message) => {
             // A budget abort surfaces the meter's structured reason, not
@@ -1502,56 +1348,7 @@ fn handle_run(request: &Request, writer: &mut impl Write, state: &ServerState) -
                 StreamFormat::Csv => emit(format!("# error: {message}\n")),
             }
             state.failed.inc();
-            run.finish(false);
         }
-    }
-    200
-}
-
-/// Streams a deduplicated `/run` response: replays the leader's buffered
-/// lines, then follows the live stream until the shared execution
-/// finishes. Subscribers only ever read the shared buffer, so a slow or
-/// mid-stream-disconnected subscriber cannot affect the leader or any
-/// other subscriber.
-fn follow_run(
-    run: &InflightRun,
-    writer: &mut impl Write,
-    state: &ServerState,
-    content_type: &str,
-) -> u16 {
-    state.started.inc();
-    state.dedup_fanouts.inc();
-    state.dedup_subscribers.inc();
-    let mut broken = Response::write_streaming_head(writer, 200, content_type).is_err();
-    let mut pos = 0usize;
-    let ok = loop {
-        let (chunk, finished, ok) = {
-            let mut buf = run.lock_buffer();
-            while buf.lines.len() == pos && !buf.done {
-                buf = run.cv.wait(buf).unwrap_or_else(|p| p.into_inner());
-            }
-            (buf.lines[pos..].to_vec(), buf.done, buf.ok)
-        };
-        pos += chunk.len();
-        for line in &chunk {
-            if broken {
-                break;
-            }
-            if writer.write_all(line.as_bytes()).is_err() || writer.flush().is_err() {
-                broken = true;
-            }
-        }
-        if finished {
-            break ok;
-        }
-    };
-    state.dedup_subscribers.dec();
-    // Mirror the leader's accounting: the shared run's outcome decides,
-    // not this socket's health.
-    if ok {
-        state.completed.inc();
-    } else {
-        state.failed.inc();
     }
     200
 }
@@ -1972,5 +1769,123 @@ mod tests {
         let insert_at = text.find("{\"event\": \"row\"").unwrap();
         text.insert_str(insert_at, "{\"event\": \"progress\", \"pct\": 50}\n");
         assert!(assemble_report(&text).is_ok());
+    }
+
+    /// A real NDJSON stream and a real partial report of one tiny run —
+    /// the documents a coordinator and `spnn assemble` read off the wire.
+    fn real_documents() -> &'static (String, String) {
+        static DOCS: std::sync::OnceLock<(String, String)> = std::sync::OnceLock::new();
+        DOCS.get_or_init(|| {
+            let mut spec = crate::presets::fig4(&crate::spec::RunScale::tiny());
+            spec.sweep.sigmas = vec![0.0, 0.05];
+            spec.iterations = 4;
+            spec.min_iterations = 2;
+            spec.round_size = 2;
+            let config = EngineConfig {
+                threads: Some(1),
+                metrics: MetricsRegistry::new(),
+                ..EngineConfig::default()
+            };
+            let cache = ContextCache::in_memory();
+            let mut stream = String::new();
+            let report = run_streaming(&spec, &config, &cache, None, &mut |e| {
+                stream.push_str(&event_line(&e))
+            })
+            .expect("tiny run");
+            let _ = writeln!(
+                stream,
+                "{{\"event\": \"done\", \"scenario\": \"{}\", \"rows\": {}}}",
+                report.scenario,
+                report.rows.len()
+            );
+            let slice = Slice::Shard {
+                shards: 2,
+                index: 1,
+            };
+            let partial = run_scenario_slice_with(&spec, &config, &cache, slice)
+                .expect("tiny slice")
+                .to_json();
+            assert!(assemble_report(&stream).is_ok());
+            assert!(crate::shard::PartialReport::parse(&partial).is_ok());
+            (stream, partial)
+        })
+    }
+
+    /// Feeds `doc` to every parser at the coordinator's and `spnn
+    /// assemble`'s trust boundary; each must return, never panic.
+    fn parse_everything(doc: &str) {
+        let _ = json::parse(doc);
+        for line in doc.lines() {
+            let _ = json::parse(line);
+        }
+        let _ = assemble_report(doc);
+        if let Ok(partial) = crate::shard::PartialReport::parse(doc) {
+            let _ = crate::shard::merge_partials(&[partial]);
+        }
+    }
+
+    /// `doc` cut after `cut` bytes and `doc` with one bit flipped, each
+    /// read back as (lossy) UTF-8.
+    fn mutations(doc: &str, cut: usize, bit: usize) -> [String; 2] {
+        let bytes = doc.as_bytes();
+        let mut flipped = bytes.to_vec();
+        let bit = bit % (bytes.len() * 8);
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        [
+            String::from_utf8_lossy(&bytes[..cut % (bytes.len() + 1)]).into_owned(),
+            String::from_utf8_lossy(&flipped).into_owned(),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Truncations and bit flips of real wire documents are errors
+        /// (or, for a harmless flip, parse), never panics.
+        #[test]
+        fn wire_parsers_never_panic_on_truncation_or_bit_flips(
+            cut in 0usize..1 << 16,
+            bit in 0usize..1 << 20,
+        ) {
+            let (stream, partial) = real_documents();
+            for doc in mutations(stream, cut, bit).iter().chain(&mutations(partial, cut, bit)) {
+                parse_everything(doc);
+            }
+        }
+    }
+
+    /// Every strict prefix of a real stream or partial (short of its
+    /// trailing whitespace) is rejected.
+    #[test]
+    fn every_truncation_of_a_real_document_is_an_error() {
+        let (stream, partial) = real_documents();
+        for cut in 0..partial.trim_end().len() {
+            if let Some(prefix) = partial.get(..cut) {
+                assert!(crate::shard::PartialReport::parse(prefix).is_err(), "{cut}");
+            }
+        }
+        // A stream cut at a line boundary is a valid prefix of events, but
+        // without its done line it must not assemble.
+        for cut in 0..stream.trim_end().len() {
+            if let Some(prefix) = stream.get(..cut) {
+                assert!(assemble_report(prefix).is_err(), "{cut}");
+            }
+        }
+    }
+
+    /// Nesting deep enough to overflow a recursive parser's stack is a
+    /// format error for both wire formats.
+    #[test]
+    fn deeply_nested_documents_are_format_errors() {
+        for doc in ["[".repeat(200_000), "{\"a\":".repeat(200_000)] {
+            assert!(matches!(
+                crate::shard::PartialReport::parse(&doc),
+                Err(crate::shard::MergeError::Format(_))
+            ));
+            assert!(matches!(
+                assemble_report(&doc),
+                Err(AssembleError::Format(_))
+            ));
+        }
     }
 }

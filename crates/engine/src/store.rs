@@ -19,6 +19,11 @@
 //!   many, never write into each other's file. `load` treats a missing
 //!   file as a plain miss and removes any other unusable file, so the
 //!   recomputed entry republishes cleanly.
+//! - **Single flight.** `SingleFlight` runs one computation per key
+//!   among concurrent callers in this process: the first caller to claim
+//!   a missing key computes it, later callers wait and receive the
+//!   leader's value. The context cache trains through it and the row
+//!   cache computes whole-point rows through it.
 //! - **Directory operations.** [`list`], [`rm`] and [`gc`] (the `spnn
 //!   cache …` / `spnn rowcache …` verbs) and [`Layout::default_dir`],
 //!   driven by each cache's [`Layout`].
@@ -28,12 +33,14 @@
 //! `rm` or healing — can cost a recompute, never correctness.
 
 use crate::fnv::{fnv1a64, FNV_BASIS};
-use crate::metrics::Counter;
+use crate::metrics::{Counter, Gauge};
 use crate::tevent;
 use crate::trace::Level;
+use std::collections::{hash_map, HashMap};
 use std::fmt::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 // ---------------------------------------------------------------------------
 // Content keys
@@ -315,6 +322,125 @@ pub(crate) fn load<T>(
 }
 
 // ---------------------------------------------------------------------------
+// Single flight
+// ---------------------------------------------------------------------------
+
+/// How a [`SingleFlight::run`] caller obtained its value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Flown {
+    /// Its re-check under the claim found the value already published.
+    Found,
+    /// It waited on another caller's computation.
+    Joined,
+    /// It computed the value.
+    Computed,
+}
+
+/// One claimed key: `None` while the leader runs, then `Some(Some(v))`
+/// once it landed or `Some(None)` if the leader dropped without landing.
+type Flight<V> = (Mutex<Option<Option<Arc<V>>>>, Condvar);
+
+/// Runs one computation per content key among concurrent callers.
+///
+/// The first caller to claim a key leads: it re-checks the published
+/// values (a value published between its miss and its claim is never
+/// computed twice), otherwise computes, and then lands the flight. Every
+/// other caller for that key waits and receives the leader's `Arc`. If
+/// the leader drops without landing (it panicked), its waiters are
+/// released and claim again, so one of them computes. A flight's entry
+/// is removed when it ends, so the table holds only keys in flight.
+///
+/// A caller must not wait on a key while it leads another: callers claim
+/// keys one at a time.
+#[derive(Debug)]
+pub(crate) struct SingleFlight<V> {
+    flights: Mutex<HashMap<[u8; 16], Arc<Flight<V>>>>,
+    /// Callers that received another caller's value instead of computing.
+    pub(crate) joined: Counter,
+    /// Callers currently waiting on another caller's computation.
+    pub(crate) waiting: Gauge,
+}
+
+/// Locks `m`, ignoring poison: a panicking leader is handled explicitly,
+/// and every guarded state is valid after each single write.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl<V> SingleFlight<V> {
+    pub(crate) fn new() -> Self {
+        Self {
+            flights: Mutex::default(),
+            joined: Counter::new(),
+            waiting: Gauge::new(),
+        }
+    }
+
+    /// The value for `key`: joined from the caller already computing it,
+    /// else — once this caller holds the claim — `recheck`'s published
+    /// value, else `compute`'s. `compute` must publish its value wherever
+    /// `recheck` looks before returning; the flight lands (releasing the
+    /// waiters) as soon as it returns.
+    pub(crate) fn run(
+        &self,
+        key: [u8; 16],
+        recheck: impl FnOnce() -> Option<Arc<V>>,
+        compute: impl FnOnce() -> Arc<V>,
+    ) -> (Arc<V>, Flown) {
+        let mut lead = loop {
+            let flight = match lock(&self.flights).entry(key) {
+                hash_map::Entry::Occupied(e) => Arc::clone(e.get()),
+                hash_map::Entry::Vacant(e) => {
+                    let flight = Arc::clone(e.insert(Arc::default()));
+                    break Lead {
+                        table: self,
+                        key,
+                        flight,
+                        value: None,
+                    };
+                }
+            };
+            self.waiting.inc();
+            let (outcome, ended) = &*flight;
+            let outcome = ended.wait_while(lock(outcome), |o| o.is_none());
+            let landed = outcome
+                .unwrap_or_else(PoisonError::into_inner)
+                .clone()
+                .flatten();
+            self.waiting.dec();
+            if let Some(value) = landed {
+                self.joined.inc();
+                return (value, Flown::Joined);
+            }
+            // The leader dropped without landing: claim the key again.
+        };
+        let (value, flown) = match recheck() {
+            Some(value) => (value, Flown::Found),
+            None => (compute(), Flown::Computed),
+        };
+        lead.value = Some(Arc::clone(&value));
+        (value, flown)
+    }
+}
+
+/// A leader's claim on one key. Dropping it ends the flight: with the
+/// value it landed, or abandoned when the leader unwinds first.
+struct Lead<'a, V> {
+    table: &'a SingleFlight<V>,
+    key: [u8; 16],
+    flight: Arc<Flight<V>>,
+    value: Option<Arc<V>>,
+}
+
+impl<V> Drop for Lead<'_, V> {
+    fn drop(&mut self) {
+        lock(&self.table.flights).remove(&self.key);
+        *lock(&self.flight.0) = Some(self.value.take());
+        self.flight.1.notify_all();
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Directory operations (spnn cache / spnn rowcache)
 // ---------------------------------------------------------------------------
 
@@ -589,7 +715,7 @@ pub fn gc(dir: &Path, layout: &Layout, limits: &GcLimits) -> std::io::Result<GcO
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::sync::{Arc, Barrier};
+    use std::sync::Barrier;
 
     const TEST_FORMAT: Format = Format {
         magic: b"SPNNTST\x01",
@@ -739,5 +865,175 @@ mod tests {
             .collect();
         assert!(leftovers.is_empty(), "temporary files left: {leftovers:?}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    impl<V> SingleFlight<V> {
+        /// The number of keys currently in flight.
+        pub(crate) fn in_flight(&self) -> usize {
+            lock(&self.flights).len()
+        }
+    }
+
+    /// A published-value slot standing in for a cache tier.
+    type Slot = Mutex<Option<Arc<u64>>>;
+
+    /// One [`SingleFlight::run`] against `slot`: the re-check reads it,
+    /// the computation counts itself, optionally lingers, and publishes.
+    fn flight_run(
+        flights: &SingleFlight<u64>,
+        key: [u8; 16],
+        slot: &Slot,
+        computations: &Counter,
+        linger: std::time::Duration,
+    ) -> (Arc<u64>, Flown) {
+        flights.run(
+            key,
+            || lock(slot).clone(),
+            || {
+                computations.inc();
+                std::thread::sleep(linger);
+                let value = Arc::new(u64::from(key[0]) + 100);
+                *lock(slot) = Some(Arc::clone(&value));
+                value
+            },
+        )
+    }
+
+    /// Spins until `done` holds, failing the test after ten seconds.
+    fn await_condition(what: &str, done: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while !done() {
+            assert!(std::time::Instant::now() < deadline, "timed out: {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn concurrent_callers_of_one_key_compute_once() {
+        const N: usize = 8;
+        let flights = SingleFlight::new();
+        let (slot, computations) = (Slot::default(), Counter::new());
+        let start = Barrier::new(N);
+        let results: Vec<(Arc<u64>, Flown)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..N)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        flight_run(
+                            &flights,
+                            [7; 16],
+                            &slot,
+                            &computations,
+                            std::time::Duration::from_millis(50),
+                        )
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(computations.get(), 1, "one caller computes");
+        let computed = results
+            .iter()
+            .filter(|(_, how)| *how == Flown::Computed)
+            .count();
+        let joined = results
+            .iter()
+            .filter(|(_, how)| *how == Flown::Joined)
+            .count();
+        assert_eq!(computed, 1);
+        assert_eq!(joined as u64, flights.joined.get());
+        for (value, _) in &results {
+            assert!(Arc::ptr_eq(value, &results[0].0), "one shared value");
+        }
+        assert_eq!(flights.in_flight(), 0, "the flight table empties");
+        assert_eq!(flights.waiting.get(), 0);
+
+        // A later caller re-checks under its own claim and finds the value.
+        let (value, how) = flight_run(
+            &flights,
+            [7; 16],
+            &slot,
+            &computations,
+            std::time::Duration::ZERO,
+        );
+        assert_eq!((*value, how, computations.get()), (107, Flown::Found, 1));
+        assert_eq!(flights.in_flight(), 0);
+    }
+
+    #[test]
+    fn a_panicking_leader_releases_its_waiters_and_one_recomputes() {
+        const WAITERS: usize = 4;
+        let flights = SingleFlight::<u64>::new();
+        let (slot, computations) = (Slot::default(), Counter::new());
+        let (claimed_tx, claimed_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let leader = scope.spawn(|| {
+                flights.run(
+                    [3; 16],
+                    || None,
+                    || {
+                        claimed_tx.send(()).unwrap();
+                        await_condition("waiters queue up", || {
+                            flights.waiting.get() == WAITERS as i64
+                        });
+                        panic!("leader dies mid-flight");
+                    },
+                )
+            });
+            claimed_rx.recv().unwrap();
+            let waiters: Vec<_> = (0..WAITERS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        flight_run(
+                            &flights,
+                            [3; 16],
+                            &slot,
+                            &computations,
+                            std::time::Duration::from_millis(20),
+                        )
+                    })
+                })
+                .collect();
+            assert!(leader.join().is_err(), "the leader panicked");
+            let results: Vec<_> = waiters.into_iter().map(|w| w.join().unwrap()).collect();
+            assert_eq!(computations.get(), 1, "exactly one waiter recomputes");
+            let computed = results
+                .iter()
+                .filter(|(_, how)| *how == Flown::Computed)
+                .count();
+            assert_eq!(computed, 1);
+            for (value, _) in &results {
+                assert_eq!(**value, 103);
+            }
+        });
+        assert_eq!(flights.in_flight(), 0, "the flight table empties");
+        assert_eq!(flights.waiting.get(), 0);
+    }
+
+    #[test]
+    fn distinct_keys_fly_concurrently() {
+        let flights = SingleFlight::<u64>::new();
+        let active = AtomicU64::new(0);
+        std::thread::scope(|scope| {
+            for k in 0..2u8 {
+                let (flights, active) = (&flights, &active);
+                scope.spawn(move || {
+                    flights.run(
+                        [k; 16],
+                        || None,
+                        || {
+                            active.fetch_add(1, Ordering::SeqCst);
+                            // Both computations must be running at once.
+                            await_condition("both keys in flight", || {
+                                active.load(Ordering::SeqCst) == 2
+                            });
+                            Arc::new(u64::from(k))
+                        },
+                    )
+                });
+            }
+        });
+        assert_eq!(flights.in_flight(), 0);
+        assert_eq!(flights.joined.get(), 0);
     }
 }

@@ -17,6 +17,7 @@ use spnn_engine::prelude::*;
 use spnn_engine::runner::StreamEvent;
 use spnn_engine::serve::{ServeConfig, Server};
 use spnn_photonics::PerturbTarget;
+use std::io::{Read as _, Write as _};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -135,6 +136,69 @@ fn worker_failure_is_retried_on_another_worker() {
     ];
     let report = distribute(&spec, &RemoteExecutor::new(workers), 4);
     assert_matches_unsharded(&spec, &report, "remote with dead+flaky workers");
+}
+
+/// A worker that reads the request and answers with a `Content-Length`
+/// of `u64::MAX` and no body — a response whose end offset would wrap.
+fn huge_length_addr() -> SocketAddr {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr");
+    std::thread::spawn(move || {
+        for mut conn in listener.incoming().flatten() {
+            let mut request = Vec::new();
+            let mut buf = [0u8; 4096];
+            // Read the whole request, so closing never resets it.
+            while let Ok(n @ 1..) = conn.read(&mut buf) {
+                request.extend_from_slice(&buf[..n]);
+                let text = String::from_utf8_lossy(&request);
+                if let Some(head_end) = text.find("\r\n\r\n") {
+                    let length = text[..head_end]
+                        .lines()
+                        .find_map(|l| l.strip_prefix("Content-Length: "))
+                        .and_then(|n| n.trim().parse::<usize>().ok())
+                        .unwrap_or(0);
+                    if request.len() >= head_end + 4 + length {
+                        break;
+                    }
+                }
+            }
+            let _ =
+                conn.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551615\r\n\r\n");
+        }
+    });
+    addr
+}
+
+/// A worker whose response head claims a body length that would wrap the
+/// parser's end offset is a failed attempt like any other: the shard is
+/// retried on the next worker and the report stays byte-identical.
+#[test]
+fn overflowing_content_length_is_retried_on_another_worker() {
+    let spec = tiny_fig4();
+    let config = EngineConfig {
+        threads: Some(2),
+        metrics: MetricsRegistry::new(),
+        ..EngineConfig::default()
+    };
+    let executor = RemoteExecutor::new(vec![
+        format!("http://{}", huge_length_addr()),
+        format!("http://{}", start_worker()),
+    ]);
+    let cache = ContextCache::in_memory();
+    let cancel = CancelToken::new();
+    let ctx = ExecContext {
+        config: &config,
+        cache: &cache,
+        cancel: &cancel,
+    };
+    let report =
+        run_distributed(&spec, &executor, 2, &ctx, &mut |_| {}).expect("retried on a good worker");
+    assert_matches_unsharded(&spec, &report, "remote with an overflowing Content-Length");
+    let retries = config
+        .metrics
+        .counter("spnn_shard_retries_total", "", &[])
+        .get();
+    assert!(retries >= 1, "the bad response must count a retry");
 }
 
 /// With every worker unreachable the run fails with a Remote error that

@@ -115,12 +115,12 @@ fn concurrent_requests_share_one_cache() {
     assert!(health.contains("\"runs_completed\": 2"), "{health}");
 }
 
-/// Tentpole acceptance: N identical in-flight `/run` bodies produce one
-/// execution and N byte-identical streams. With the row cache attached
-/// the single-execution claim is race-proof: a request that misses the
-/// in-flight dedup window replays its rows from the cache instead of
-/// recomputing, so `spnn_points_total` stays at one sweep's worth no
-/// matter how the requests interleave.
+/// N identical in-flight `/run` bodies compute one sweep's worth of rows
+/// and stream N byte-identical responses. The row cache makes this
+/// race-proof: each row is computed once, and every other request either
+/// waits on that row while it is in flight (a join) or finds it published
+/// (a hit) — so `spnn_points_total` stays at one sweep's worth no matter
+/// how the requests interleave.
 #[test]
 fn identical_inflight_runs_share_one_execution() {
     const N: usize = 6;
@@ -155,7 +155,13 @@ fn identical_inflight_runs_share_one_execution() {
         0.0,
         "the fan-out gauge must return to zero"
     );
-    assert!(exp.total("spnn_rowcache_dedup_total") <= (N - 1) as f64);
+    // Per row: one request computed it, each other request joined its
+    // flight or hit the published row — exactly once.
+    assert_eq!(
+        exp.total("spnn_rowcache_hits_total") + exp.total("spnn_rowcache_dedup_total"),
+        (3 * (N - 1)) as f64,
+        "every non-computing request must take each row exactly once"
+    );
 
     // A straggler arriving after everything finished replays entirely
     // from the row cache: same bytes, still zero new points.
@@ -168,6 +174,66 @@ fn identical_inflight_runs_share_one_execution() {
         exp.total("spnn_rowcache_hits_total") >= 3.0,
         "the replayed request must hit the row cache for every point"
     );
+}
+
+/// Two concurrent requests whose sweeps overlap — σ {s1, s2, s3} and
+/// {s3, s2, s4}, the shared rows in reverse order — share the rows they
+/// have in common: four distinct rows are computed once each, in every
+/// interleaving, without deadlock, and each stream assembles
+/// byte-identical to its own batch report.
+#[test]
+fn overlapping_concurrent_requests_share_rows() {
+    let addr = start_server_rowcached(4);
+    let spec_with = |sigmas: &[f64]| {
+        let mut spec = tiny_fig4();
+        spec.sweep.sigmas = sigmas.to_vec();
+        // Long enough points that the requests overlap in time.
+        spec.iterations = 96;
+        spec.min_iterations = 96;
+        spec.round_size = 16;
+        spec
+    };
+    let specs = [
+        spec_with(&[0.02, 0.05, 0.08]),
+        spec_with(&[0.08, 0.05, 0.11]),
+    ];
+    let texts: Vec<String> = specs.iter().map(|s| s.to_text()).collect();
+    let start = std::sync::Barrier::new(2);
+    let streams: Vec<(u16, String)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = texts
+            .iter()
+            .map(|text| {
+                let start = &start;
+                scope.spawn(move || {
+                    start.wait();
+                    post_run(addr, text)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("request"))
+            .collect()
+    });
+    for (spec, (status, stream)) in specs.iter().zip(&streams) {
+        assert_eq!(*status, 200, "{stream}");
+        let reference = run_scenario(spec, &EngineConfig::default()).expect("batch run");
+        let assembled = spnn_engine::assemble_report(stream).expect("assemble");
+        assert_eq!(to_json(&assembled), to_json(&reference));
+        assert_eq!(to_csv(&assembled), to_csv(&reference));
+    }
+    let exp = scrape(addr);
+    assert_eq!(
+        exp.total("spnn_points_total"),
+        4.0,
+        "the two shared rows must be computed once"
+    );
+    assert_eq!(
+        exp.total("spnn_rowcache_hits_total") + exp.total("spnn_rowcache_dedup_total"),
+        2.0,
+        "the second request to reach each shared row takes it exactly once"
+    );
+    assert_eq!(exp.total("spnn_rowcache_dedup_subscribers"), 0.0);
 }
 
 /// A client that disconnects mid-stream must not poison the shared
