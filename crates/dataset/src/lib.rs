@@ -39,7 +39,7 @@ pub mod generator;
 pub mod glyphs;
 
 pub use features::{fft_features, fft_features_with};
-pub use generator::{GrayImage, ImageGenerator};
+pub use generator::{GrayImage, ImageGenerator, IMAGE_SIDE};
 
 use spnn_linalg::fft::{Direction, FftPlan};
 use spnn_linalg::C64;

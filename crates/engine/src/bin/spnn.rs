@@ -36,7 +36,7 @@
 use spnn_engine::cache::{self, ContextCache};
 use spnn_engine::exec::{
     install_signal_handlers, run_distributed, BreakerConfig, CancelToken, ExecContext, Executor,
-    RemoteExecutor, SpawnExecutor, WeightSource, WorkerBreakers,
+    RemoteExecutor, WeightSource, WorkerBreakers,
 };
 use spnn_engine::metrics::{self, Reading};
 use spnn_engine::prelude::*;
@@ -121,7 +121,8 @@ OPTIONS (run, merge):
                              worker (POST /shard), merge partials as they
                              arrive, and emit the final report; a failed
                              worker's shard is retried on another worker
-                             (--shards overrides the shard count)
+                             (one shard per peer; --shards, if given,
+                             must equal the peer count)
     --local-peers N          with --workers: run N in-process peers next
                              to the remote workers, all in one plan
     --weights-from SRC       with --workers: size each peer's round-space
@@ -510,7 +511,15 @@ fn cmd_run(args: &[String]) -> ExitCode {
                 Err(e) => return fail(&e),
             },
         };
-        let shards = shards.unwrap_or(workers.len() + local_peers);
+        // One slice per peer: an explicit --shards must name the peer
+        // count.
+        let peers = workers.len() + local_peers;
+        if let Some(k) = shards.filter(|&k| k != peers) {
+            return fail(&format!(
+                "--workers runs one shard per peer: --shards {k} differs from the peer count \
+                 {peers} (drop --shards)"
+            ));
+        }
         // Default circuit breakers: a worker that keeps failing is
         // skipped for a cooldown instead of eating a retry per shard.
         let breakers = Arc::new(WorkerBreakers::new(
@@ -525,7 +534,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
         return run_with_executor(
             &specs[0],
             &executor,
-            shards,
+            peers,
             format,
             &config,
             &cache,
@@ -544,7 +553,9 @@ fn cmd_run(args: &[String]) -> ExitCode {
                 return fail("--exec local conflicts with --spawn (--spawn is --exec spawn)");
             }
             (Some("spawn"), _) | (None, true) => match std::env::current_exe() {
-                Ok(exe) => Some(Box::new(SpawnExecutor { exe })),
+                Ok(exe) => Some(Box::new(
+                    RemoteExecutor::new(vec![]).with_child_peers(exe, shards),
+                )),
                 Err(e) => return fail(&format!("locating the spnn binary: {e}")),
             },
             (Some("local"), false) => Some(Box::new(

@@ -77,29 +77,6 @@ impl Welford {
     pub fn from_parts(n: u64, mean: f64, m2: f64) -> Self {
         Self { n, mean, m2 }
     }
-
-    /// Combines two estimators over disjoint sample sets (Chan et al.'s
-    /// parallel update). Statistically exact; note the combined state is
-    /// *not* bit-identical to pushing the samples sequentially (floating
-    /// point is non-associative), which is why the shard merge replays raw
-    /// samples instead of merging states when bit-identity is required —
-    /// this combine serves estimators whose raw samples are gone.
-    pub fn merge(&self, other: &Welford) -> Welford {
-        if self.n == 0 {
-            return other.clone();
-        }
-        if other.n == 0 {
-            return self.clone();
-        }
-        let n = self.n + other.n;
-        let nf = n as f64;
-        let d = other.mean - self.mean;
-        Welford {
-            n,
-            mean: self.mean + d * (other.n as f64 / nf),
-            m2: self.m2 + other.m2 + d * d * ((self.n as f64 * other.n as f64) / nf),
-        }
-    }
 }
 
 /// When to stop iterating on one sweep point.
@@ -235,28 +212,6 @@ mod tests {
         assert_eq!(back.count(), w.count());
         assert_eq!(back.mean().to_bits(), w.mean().to_bits());
         assert_eq!(back.variance().to_bits(), w.variance().to_bits());
-    }
-
-    #[test]
-    fn merge_is_statistically_exact() {
-        let xs: Vec<f64> = (0..37).map(|i| ((i * 17) % 11) as f64 * 0.09).collect();
-        for split in [0, 1, 13, 36, 37] {
-            let (mut a, mut b) = (Welford::new(), Welford::new());
-            for &x in &xs[..split] {
-                a.push(x);
-            }
-            for &x in &xs[split..] {
-                b.push(x);
-            }
-            let merged = a.merge(&b);
-            let mut seq = Welford::new();
-            for &x in &xs {
-                seq.push(x);
-            }
-            assert_eq!(merged.count(), seq.count());
-            assert!((merged.mean() - seq.mean()).abs() < 1e-12);
-            assert!((merged.variance() - seq.variance()).abs() < 1e-12);
-        }
     }
 
     #[test]

@@ -4,31 +4,27 @@
 //! PR 3 made shard partials a wire format and PR 4 gave the service a
 //! streaming driver; this module is the piece that lets **one
 //! coordinator drive many workers** without giving up the bit-identity
-//! contract. Everything that used to be a bespoke driver (the CLI's
-//! `--spawn` launcher, an in-process sharded run, a hand-rolled remote
-//! fan-out) is now an implementation of one trait:
+//! contract. Every fan-out spelling (`spnn run --shards k --spawn`,
+//! `--exec local`, `--workers`, and the coordinator form of `spnn serve`)
+//! is one implementation of one trait:
 //!
 //! - [`Executor`] — "run all `k` shards of this spec, hand me each
 //!   [`PartialReport`] as it completes, in whatever order they finish."
-//! - [`SpawnExecutor`] — the `spnn run --shards k --spawn` child-process
-//!   launcher, moved out of the CLI into the library: canonical spec
-//!   text in a scratch directory, cache pre-warmed by the parent, cores
-//!   split across children.
-//! - [`RemoteExecutor`] — `POST`s the canonical spec text plus the
-//!   [`Slice`] coordinates to worker `spnn serve` instances
+//! - [`RemoteExecutor`] — the **fleet** executor: one peer loop that runs
+//!   one [`Slice`] per peer. Remote peers `POST` the canonical spec text
+//!   plus the slice coordinates to worker `spnn serve` instances
 //!   (`POST /shard?shards=k&index=i`, see [`crate::serve`]) over the
-//!   dependency-free HTTP client in [`crate::http`]. A worker that
+//!   dependency-free HTTP client in [`crate::http`]; a worker that
 //!   fails — refused connection, mid-run crash, torn response — is
-//!   retried on the next worker; the shard planner is deterministic, so
-//!   any worker can recompute any slice. It is also the **fleet**
-//!   executor: [`RemoteExecutor::with_local_peers`] adds in-process
-//!   peers to the same plan (mixed dispatch) — with no remote workers at
-//!   all it is the in-process threaded path (`spnn run --exec local`),
-//!   preparing the scenario **once** and running every slice on its own
-//!   thread,
-//!   [`RemoteExecutor::with_weights`] slices the round space
-//!   proportionally to measured capacity (see [`WeightSource`]), and
-//!   [`RemoteExecutor::with_steal`] re-dispatches the slowest
+//!   retried on the next worker, because the shard planner is
+//!   deterministic and any worker can recompute any slice.
+//!   [`RemoteExecutor::with_child_peers`] adds `spnn run --shards k
+//!   --shard-index i` child processes on this machine (`--spawn`), and
+//!   [`RemoteExecutor::with_local_peers`] adds in-process peers that
+//!   prepare the scenario **once** and run every slice on its own thread
+//!   (`--exec local`). [`RemoteExecutor::with_weights`] slices the round
+//!   space proportionally to measured capacity (see [`WeightSource`]),
+//!   and [`RemoteExecutor::with_steal`] re-dispatches the slowest
 //!   outstanding slice (sub-sliced as `POST /shard?span=LO-HI`) when a
 //!   peer drains its own — speculative overlaps are deduplicated by the
 //!   merge, so the assembled report stays byte-identical.
@@ -44,9 +40,9 @@
 //! Cancellation is cooperative: every long operation polls a
 //! [`CancelToken`], and every token also observes the process-wide
 //! shutdown flag raised by [`install_signal_handlers`] — so one SIGTERM
-//! to a coordinator stops new dispatches and abandons outstanding
-//! remote shards (workers finish their slices and find nobody reading;
-//! their own lifecycle is independent).
+//! to a coordinator stops new dispatches, kills outstanding child
+//! peers, and abandons outstanding remote shards (workers finish their
+//! slices and find nobody reading; their own lifecycle is independent).
 
 use crate::cache::ContextCache;
 use crate::http::{self, FetchResponse};
@@ -65,8 +61,9 @@ use crate::trace::Level;
 use spnn_core::KernelProfile;
 use std::collections::VecDeque;
 use std::fmt;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -197,8 +194,9 @@ pub struct ExecContext<'a> {
     pub config: &'a EngineConfig,
     /// The trained-context cache. The local peers of a
     /// [`RemoteExecutor`] train/load through it once before fan-out;
-    /// [`SpawnExecutor`] pre-warms it so child processes all load instead
-    /// of training `k` times; remote workers have their own.
+    /// without local peers, an on-disk cache is pre-warmed so child peers
+    /// all load instead of training `k` times; remote workers have their
+    /// own.
     pub cache: &'a ContextCache,
     /// Cooperative cancellation (see [`CancelToken`]).
     pub cancel: &'a CancelToken,
@@ -287,182 +285,6 @@ fn threads_per_shard(config: &EngineConfig, shards: usize) -> Option<usize> {
             .ok()
             .map(|n| (n.get() / shards.max(1)).max(1))
     })
-}
-
-// ---------------------------------------------------------------------------
-// SpawnExecutor
-// ---------------------------------------------------------------------------
-
-/// Child-process execution: launches `spnn run --shards k --shard-index i`
-/// once per shard on this machine and collects the partial files as the
-/// children exit — the PR 4 `--spawn` launcher, now a library citizen.
-///
-/// Children run the **canonical** spec text (`ScenarioSpec::to_text`
-/// round-trips exactly, so queue fingerprints match) from a scratch
-/// directory; presets and env-scaled specs need no environment
-/// agreement. When the shared cache has a persistence directory the
-/// parent pre-warms it first, so `k` cold children all load the trained
-/// context instead of training it `k` times concurrently.
-#[derive(Debug, Clone)]
-pub struct SpawnExecutor {
-    /// Path to the `spnn` binary to launch (the CLI passes
-    /// `std::env::current_exe()`).
-    pub exe: PathBuf,
-}
-
-impl Executor for SpawnExecutor {
-    fn name(&self) -> &'static str {
-        "spawn"
-    }
-
-    fn execute(
-        &self,
-        spec: &ScenarioSpec,
-        shards: usize,
-        ctx: &ExecContext<'_>,
-        deliver: &mut dyn FnMut(PartialReport) -> bool,
-    ) -> Result<(), ExecError> {
-        let verbose = ctx.config.verbose;
-        let fp = queue_fingerprint_with(spec, ctx.config.kernel);
-        let work_dir =
-            std::env::temp_dir().join(format!("spnn-exec-{}-{}", std::process::id(), &fp[..12]));
-        std::fs::create_dir_all(&work_dir)
-            .map_err(|e| ExecError::Spawn(format!("creating {}: {e}", work_dir.display())))?;
-        let spec_path = work_dir.join("scenario.scn");
-        std::fs::write(&spec_path, spec.to_text())
-            .map_err(|e| ExecError::Spawn(format!("writing {}: {e}", spec_path.display())))?;
-
-        // Pre-warm the shared cache once in the parent (wall-clock only;
-        // results are identical either way).
-        if ctx.cache.dir().is_some() {
-            let _ = ctx.cache.get_or_train(spec, verbose);
-        }
-        let threads = threads_per_shard(ctx.config, shards);
-
-        let mut children: Vec<(usize, PathBuf, std::process::Child)> = Vec::with_capacity(shards);
-        for index in 0..shards {
-            if ctx.cancel.is_cancelled() {
-                for (_, _, mut child) in children {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                }
-                return Err(ExecError::Cancelled);
-            }
-            let part = work_dir.join(format!("part-{index}.json"));
-            let mut cmd = std::process::Command::new(&self.exe);
-            cmd.arg("run")
-                .arg(&spec_path)
-                .arg("--shards")
-                .arg(shards.to_string())
-                .arg("--shard-index")
-                .arg(index.to_string())
-                .arg("--out")
-                .arg(&part)
-                .arg("--quiet")
-                .stdout(std::process::Stdio::null());
-            if !verbose {
-                cmd.stderr(std::process::Stdio::null());
-            }
-            if let Some(t) = threads {
-                cmd.arg("--threads").arg(t.to_string());
-            }
-            // Reference children keep the historical command line; only a
-            // non-default profile is forwarded explicitly.
-            if ctx.config.kernel != KernelProfile::Reference {
-                cmd.arg("--kernel").arg(ctx.config.kernel.as_str());
-            }
-            match ctx.cache.dir() {
-                Some(dir) => {
-                    cmd.arg("--cache-dir").arg(dir);
-                }
-                None => {
-                    cmd.arg("--no-cache");
-                }
-            }
-            // Children can only share an on-disk row cache; an in-memory
-            // tier (or none) in the parent means the children run cold.
-            match ctx.config.row_cache.as_ref().and_then(|rc| rc.dir()) {
-                Some(dir) => {
-                    cmd.arg("--row-cache-dir").arg(dir);
-                }
-                None => {
-                    cmd.arg("--no-row-cache");
-                }
-            }
-            match cmd.spawn() {
-                Ok(child) => {
-                    if verbose {
-                        eprintln!("[exec] spawned shard {index}/{shards} (pid {})", child.id());
-                    }
-                    children.push((index, part, child));
-                }
-                Err(e) => {
-                    // Do not leave earlier shards orphaned.
-                    for (_, _, mut child) in children {
-                        let _ = child.kill();
-                        let _ = child.wait();
-                    }
-                    return Err(ExecError::Spawn(format!("spawning shard {index}: {e}")));
-                }
-            }
-        }
-
-        // One waiter thread per child so partials are delivered in exit
-        // order, not launch order.
-        let (tx, rx) = mpsc::channel::<(usize, Result<PartialReport, String>)>();
-        let mut failures = Vec::new();
-        std::thread::scope(|scope| {
-            for (index, part, mut child) in children {
-                let tx = tx.clone();
-                scope.spawn(move || {
-                    let result = match child.wait() {
-                        Ok(status) if status.success() => match std::fs::read_to_string(&part) {
-                            Ok(text) => PartialReport::parse(&text).map_err(|e| format!("{e}")),
-                            Err(e) => Err(format!("reading {}: {e}", part.display())),
-                        },
-                        Ok(status) => Err(format!("exited with {status}")),
-                        Err(e) => Err(format!("waiting: {e}")),
-                    };
-                    let _ = tx.send((index, result));
-                });
-            }
-            drop(tx);
-            for (index, result) in rx {
-                match result {
-                    Ok(partial) => {
-                        if !deliver(partial) {
-                            // The consumer rejected this partial (it does
-                            // not merge): keep the scratch files for
-                            // post-mortem instead of treating the run as
-                            // clean.
-                            failures.push(format!("shard {index}: rejected by the merge"));
-                        }
-                    }
-                    Err(e) => failures.push(format!("shard {index}: {e}")),
-                }
-            }
-        });
-
-        if failures.is_empty() {
-            let _ = std::fs::remove_dir_all(&work_dir);
-            Ok(())
-        } else {
-            failures.push(format!(
-                "shard scratch kept for inspection: {}",
-                work_dir.display()
-            ));
-            if verbose {
-                // The caller may surface a more specific (e.g. merge)
-                // error instead of this one; the scratch location must
-                // not get lost with it.
-                eprintln!(
-                    "[exec] shard scratch kept for inspection: {}",
-                    work_dir.display()
-                );
-            }
-            Err(ExecError::Spawn(failures.join("; ")))
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -814,25 +636,27 @@ fn kernel_query_suffix(kernel: KernelProfile) -> String {
     }
 }
 
-/// Remote execution: dispatches each shard to a worker `spnn serve`
-/// instance as `POST /shard?shards=k&index=i` with the canonical spec
-/// text as the body, and parses the returned [`PartialReport`].
+/// The fleet executor: runs one [`Slice`] per peer and delivers each
+/// peer's [`PartialReport`] as it arrives. There are three peer kinds, in
+/// this peer order:
 ///
-/// Shard `i` starts on worker `i mod n` (round-robin); on any failure —
-/// refused connection, worker killed mid-run, torn or foreign response —
-/// the shard is **retried on the next worker**, each worker at most once
-/// per shard. The shard planner is a pure function of the spec, so a
-/// recomputed slice is bit-identical wherever it runs; a merge over
-/// retried shards is indistinguishable from one without failures.
+/// - **remote workers** — `spnn serve` instances, each slice `POST`ed as
+///   `/shard?shards=k&index=i` (or `?span=LO-HI`) with the canonical spec
+///   text as the body. On any failure — refused connection, worker killed
+///   mid-run, torn or foreign response — the slice is **retried on the
+///   next worker**, each worker at most once per slice. The shard planner
+///   is a pure function of the spec, so a recomputed slice is
+///   bit-identical wherever it runs;
+/// - **child peers** ([`with_child_peers`](Self::with_child_peers)) —
+///   `spnn run SPEC --shards k --shard-index i` processes on this machine
+///   (`spnn run --shards k --spawn`);
+/// - **local peers** ([`with_local_peers`](Self::with_local_peers)) —
+///   in-process threads over one shared preparation (`spnn run --shards k
+///   --exec local`).
 ///
-/// # Fleet mode
+/// Peer `i` of `k` owns slice `i` of the equal split; two builders change
+/// that for remote and local peers:
 ///
-/// Three builders turn the plain remote fan-out into an elastic fleet,
-/// individually or together:
-///
-/// - [`with_local_peers`](Self::with_local_peers) adds in-process peers:
-///   one `run_distributed` call drives local threads *and* remote
-///   workers as peers of a single plan;
 /// - [`with_weights`](Self::with_weights) slices the round space
 ///   proportionally to capacity ([`WeightSource`]) instead of equally;
 /// - [`with_steal`](Self::with_steal) enables work stealing: a peer
@@ -852,7 +676,11 @@ pub struct RemoteExecutor {
     /// Optional shared circuit breakers: an open breaker's worker is
     /// skipped with zero dispatch attempts (see [`WorkerBreakers`]).
     breakers: Option<Arc<WorkerBreakers>>,
-    /// In-process peers joining the plan after the remote workers.
+    /// The `spnn` binary child peers run.
+    child_exe: PathBuf,
+    /// Child-process peers joining the plan after the remote workers.
+    child_peers: usize,
+    /// In-process peers joining the plan after the child peers.
     local_peers: usize,
     /// Capacity weighting for the initial plan.
     weights_from: WeightSource,
@@ -869,6 +697,8 @@ impl RemoteExecutor {
                 .map(|w| w.trim_end_matches('/').to_string())
                 .collect(),
             breakers: None,
+            child_exe: PathBuf::new(),
+            child_peers: 0,
             local_peers: 0,
             weights_from: WeightSource::Equal,
             steal: false,
@@ -884,12 +714,29 @@ impl RemoteExecutor {
         self
     }
 
+    /// Adds `n` child-process peers running `exe` (the CLI passes
+    /// `std::env::current_exe()`): peer `i` runs `exe run SPEC --shards k
+    /// --shard-index i` on the canonical spec text, written to a scratch
+    /// directory, so presets and env-scaled specs need no environment
+    /// agreement. When the cache has a directory the parent trains or
+    /// loads the context first, so the children all load it instead of
+    /// training it `n` times concurrently. Child peers take equal shards
+    /// only: combining them with stealing or non-equal weights is an
+    /// [`EngineError::Invalid`] error.
+    #[must_use]
+    pub fn with_child_peers(mut self, exe: impl Into<PathBuf>, n: usize) -> Self {
+        self.child_exe = exe.into();
+        self.child_peers = n;
+        self
+    }
+
     /// Adds `n` in-process peers to the plan (mixed dispatch): they rank
-    /// after the remote workers in peer order, prepare the scenario once
-    /// between them, and split this machine's cores evenly. Without
-    /// remote workers this is the in-process threaded executor
-    /// (`spnn run --shards n --exec local`): with equal weights peer `i`
-    /// runs exactly [`crate::shard::plan_shard`]'s slice `i` of `n`.
+    /// after the remote workers and child peers in peer order, prepare
+    /// the scenario once between them, and split this machine's cores
+    /// evenly. Without other peers this is the in-process threaded
+    /// executor (`spnn run --shards n --exec local`): with equal weights
+    /// peer `i` runs exactly [`crate::shard::plan_shard`]'s slice `i` of
+    /// `n`.
     #[must_use]
     pub fn with_local_peers(mut self, n: usize) -> Self {
         self.local_peers = n;
@@ -913,15 +760,19 @@ impl RemoteExecutor {
         self
     }
 
-    /// Total peers in the plan: remote workers then local peers.
+    /// Total peers in the plan: remote workers, child peers, local peers.
     fn peers(&self) -> usize {
-        self.workers.len() + self.local_peers
+        self.workers.len() + self.child_peers + self.local_peers
     }
 
-    /// `true` when nothing distinguishes this from the classic equal
-    /// remote fan-out — that exact code path is kept for it.
-    fn is_plain_remote(&self) -> bool {
-        self.local_peers == 0 && !self.steal && self.weights_from == WeightSource::Equal
+    /// The `spnn_worker_capacity_weight` label of peer `i`.
+    fn peer_label(&self, i: usize) -> String {
+        let remote = self.workers.len();
+        match i.checked_sub(remote) {
+            None => self.workers[i].clone(),
+            Some(c) if c < self.child_peers => format!("child-{c}"),
+            Some(c) => format!("local-{}", c - self.child_peers),
+        }
     }
 
     /// Runs one [`Slice`] on a worker: tries each worker at most once,
@@ -1104,10 +955,90 @@ impl RemoteExecutor {
     }
 }
 
+/// Polling interval of a child peer's waiter: how often it checks for
+/// the child's exit and for cancellation.
+const CHILD_POLL: Duration = Duration::from_millis(10);
+
+/// Distinguishes the scratch directories of concurrent runs in one
+/// process (the pid distinguishes processes).
+static SCRATCH_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// Runs `slice` as one child `spnn run` process over the spec written to
+/// `work_dir`, polling `cancel` while it waits: a cancelled child is
+/// killed and reaped. Returns the parsed partial or a failure reason.
+fn run_child(
+    exe: &Path,
+    work_dir: &Path,
+    slice: Slice,
+    threads: Option<usize>,
+    ctx: &ExecContext<'_>,
+) -> Result<PartialReport, String> {
+    let Slice::Shard { shards, index } = slice else {
+        return Err("child peers run equal shards only".into());
+    };
+    let part = work_dir.join(format!("part-{index}.json"));
+    let mut cmd = Command::new(exe);
+    cmd.arg("run")
+        .arg(work_dir.join("scenario.scn"))
+        .arg("--shards")
+        .arg(shards.to_string())
+        .arg("--shard-index")
+        .arg(index.to_string())
+        .arg("--out")
+        .arg(&part)
+        .arg("--quiet")
+        .stdout(Stdio::null());
+    if !ctx.config.verbose {
+        cmd.stderr(Stdio::null());
+    }
+    if let Some(t) = threads {
+        cmd.arg("--threads").arg(t.to_string());
+    }
+    // Reference children keep the historical command line; only a
+    // non-default profile is forwarded explicitly.
+    if ctx.config.kernel != KernelProfile::Reference {
+        cmd.arg("--kernel").arg(ctx.config.kernel.as_str());
+    }
+    match ctx.cache.dir() {
+        Some(dir) => cmd.arg("--cache-dir").arg(dir),
+        None => cmd.arg("--no-cache"),
+    };
+    // Children can only share an on-disk row cache; an in-memory tier
+    // (or none) in the parent means the children run cold.
+    match ctx.config.row_cache.as_ref().and_then(|rc| rc.dir()) {
+        Some(dir) => cmd.arg("--row-cache-dir").arg(dir),
+        None => cmd.arg("--no-row-cache"),
+    };
+    let mut child = cmd.spawn().map_err(|e| format!("spawning: {e}"))?;
+    if ctx.config.verbose {
+        eprintln!("[exec] spawned {slice} (pid {})", child.id());
+    }
+    let failure = loop {
+        match child.try_wait() {
+            Ok(Some(status)) if status.success() => {
+                let text = std::fs::read_to_string(&part)
+                    .map_err(|e| format!("reading {}: {e}", part.display()))?;
+                return PartialReport::parse(&text).map_err(|e| format!("{e}"));
+            }
+            Ok(Some(status)) => return Err(format!("exited with {status}")),
+            Ok(None) if ctx.cancel.is_cancelled() => break "cancelled".to_string(),
+            Ok(None) => std::thread::sleep(CHILD_POLL),
+            Err(e) => break format!("waiting: {e}"),
+        }
+    };
+    // Leave neither a running child nor a zombie behind.
+    let _ = child.kill();
+    let _ = child.wait();
+    Err(failure)
+}
+
 /// One peer's slice of the current fleet plan, under the shared lock.
 struct FleetSlice {
-    /// The assigned unit range of the global round space.
-    span: (usize, usize),
+    /// What the peer dispatches first.
+    slice: Slice,
+    /// Its unit range of the global round space, when the plan knows the
+    /// geometry (weights, stealing, local peers).
+    span: Option<(usize, usize)>,
     /// When its dispatch started — the steal heuristic picks the
     /// longest-outstanding slice as the straggler.
     started: Instant,
@@ -1118,9 +1049,9 @@ struct FleetSlice {
 }
 
 impl RemoteExecutor {
-    /// Resolves one capacity weight per peer (worker order, then local
-    /// peers) from the configured [`WeightSource`], and surfaces them on
-    /// the `spnn_worker_capacity_weight{worker}` gauge.
+    /// Resolves one capacity weight per peer (peer order) from the
+    /// configured [`WeightSource`], and surfaces them on the
+    /// `spnn_worker_capacity_weight{worker}` gauge.
     fn resolve_weights(&self, registry: &MetricsRegistry, cancel: &CancelToken) -> Vec<u64> {
         let peers = self.peers();
         let weights = match &self.weights_from {
@@ -1184,81 +1115,30 @@ impl RemoteExecutor {
             }
         };
         for (i, &wt) in weights.iter().enumerate() {
-            let label = if i < self.workers.len() {
-                self.workers[i].clone()
-            } else {
-                format!("local-{}", i - self.workers.len())
-            };
             registry
                 .gauge(
                     "spnn_worker_capacity_weight",
                     "Resolved capacity weight of each fleet peer (slice size is proportional).",
-                    &[("worker", &label)],
+                    &[("worker", &self.peer_label(i))],
                 )
                 .set(wt as i64);
         }
         weights
     }
+}
 
-    /// The classic equal remote fan-out (shard `i` of `k` per worker) —
-    /// kept verbatim as the plain-remote and fallback path.
-    fn execute_equal(
-        &self,
-        spec: &ScenarioSpec,
-        shards: usize,
-        ctx: &ExecContext<'_>,
-        deliver: &mut dyn FnMut(PartialReport) -> bool,
-    ) -> Result<(), ExecError> {
-        let spec_text = spec.to_text();
-        let kernel = ctx.config.kernel;
-        let expected_fp = queue_fingerprint_with(spec, kernel);
-        let verbose = ctx.config.verbose;
-
-        let (tx, rx) = mpsc::channel::<Result<PartialReport, String>>();
-        let mut failures = Vec::new();
-        std::thread::scope(|scope| {
-            for index in 0..shards {
-                let tx = tx.clone();
-                let (spec_text, expected_fp) = (&spec_text, &expected_fp);
-                let cancel = ctx.cancel;
-                let registry = &ctx.config.metrics;
-                scope.spawn(move || {
-                    let result = self.dispatch(
-                        spec_text,
-                        expected_fp,
-                        kernel,
-                        Slice::Shard { shards, index },
-                        index,
-                        cancel,
-                        verbose,
-                        registry,
-                    );
-                    let _ = tx.send(result);
-                });
-            }
-            drop(tx);
-            for result in rx {
-                match result {
-                    Ok(partial) => {
-                        let _ = deliver(partial);
-                    }
-                    Err(e) => failures.push(e),
-                }
-            }
-        });
-
-        if failures.is_empty() {
-            Ok(())
-        } else if ctx.cancel.is_cancelled() {
-            Err(ExecError::Cancelled)
-        } else {
-            Err(ExecError::Remote(failures.join("; ")))
+impl Executor for RemoteExecutor {
+    fn name(&self) -> &'static str {
+        match (self.workers.len(), self.child_peers, self.local_peers) {
+            (0, 0, _) => "local",
+            (0, _, 0) => "spawn",
+            (_, 0, 0) => "remote",
+            _ => "fleet",
         }
     }
 
-    /// Fleet dispatch: one span per peer (weighted or equal), local and
-    /// remote peers side by side, with optional work stealing.
-    fn execute_fleet(
+    /// Runs one slice per peer, so `shards` must equal the peer count.
+    fn execute(
         &self,
         spec: &ScenarioSpec,
         shards: usize,
@@ -1266,26 +1146,47 @@ impl RemoteExecutor {
         deliver: &mut dyn FnMut(PartialReport) -> bool,
     ) -> Result<(), ExecError> {
         let peers = self.peers();
+        if peers == 0 {
+            return Err(ExecError::Remote("no workers configured".into()));
+        }
+        if shards != peers {
+            return Err(ExecError::Engine(EngineError::Invalid(format!(
+                "{shards} shard(s) requested from a plan of {peers} peer(s): \
+                 the fleet runs one slice per peer"
+            ))));
+        }
+        let equal = self.weights_from == WeightSource::Equal;
+        if self.child_peers > 0 && (self.steal || !equal) {
+            return Err(ExecError::Engine(EngineError::Invalid(
+                "child peers take equal shards only (no stealing, no weights)".into(),
+            )));
+        }
         let remote = self.workers.len();
+        let children = self.child_peers;
         let verbose = ctx.config.verbose;
         let registry = &ctx.config.metrics;
 
-        // Geometry: every planner variant slices the global round space,
-        // which local peers read off the prepared queue and a pure-remote
-        // coordinator derives statically from the spec. A queue whose
-        // length is not statically derivable (zonal sweeps) falls back to
-        // the classic equal plan — correct, just not elastic.
+        // Geometry: weighted and stolen spans slice the global round
+        // space, which local peers read off the prepared queue and a
+        // pure-remote coordinator derives statically from the spec. A
+        // queue whose length is not statically derivable (zonal sweeps)
+        // falls back to equal shards without stealing — correct, just
+        // not elastic. Equal shards alone need no geometry.
         let prep = if self.local_peers > 0 {
             Some(prepare(spec, ctx.config, ctx.cache)?)
         } else {
             None
         };
-        let rounds_per_point: Vec<usize> = match &prep {
-            Some(p) => crate::runner::sweep_rounds_per_point(p),
+        let geometry: Option<Vec<usize>> = match &prep {
+            Some(p) => Some(crate::runner::sweep_rounds_per_point(p)),
+            None if equal && !self.steal => None,
             None => match crate::queue::static_queue_len(spec) {
                 Some(per_topology) => {
                     let points = per_topology * spec.topologies.len();
-                    vec![spec.iterations.div_ceil(spec.round_size.max(1)); points]
+                    Some(vec![
+                        spec.iterations.div_ceil(spec.round_size.max(1));
+                        points
+                    ])
                 }
                 None => {
                     tevent!(
@@ -1294,15 +1195,15 @@ impl RemoteExecutor {
                         "fleet plan falls back to equal remote dispatch",
                         reason = "queue length not statically derivable from the spec",
                     );
-                    return self.execute_equal(spec, shards, ctx, deliver);
+                    None
                 }
             },
         };
-
-        let weights = self.resolve_weights(registry, ctx.cancel);
-        let spans: Vec<(usize, usize)> = (0..peers)
-            .map(|i| weighted_span(&rounds_per_point, &weights, i))
-            .collect();
+        let steal = self.steal && geometry.is_some();
+        let weights = match &geometry {
+            Some(_) => self.resolve_weights(registry, ctx.cancel),
+            None => Vec::new(),
+        };
 
         let steal_total = registry.counter(
             "spnn_steal_total",
@@ -1318,40 +1219,83 @@ impl RemoteExecutor {
         let spec_text = spec.to_text();
         let kernel = ctx.config.kernel;
         let fp = queue_fingerprint_with(spec, kernel);
+        // Local and child peers split this machine's cores.
+        let threads = threads_per_shard(ctx.config, (children + self.local_peers).max(1));
         let local_config = EngineConfig {
-            threads: threads_per_shard(ctx.config, self.local_peers.max(1)),
+            threads,
             ..ctx.config.clone()
         };
         let cancel = ctx.cancel;
 
+        // Child peers run the canonical spec text from a scratch
+        // directory of their own: pid plus a process-wide sequence, so
+        // concurrent runs of one spec never share (or delete) it.
+        let work_dir = if children > 0 {
+            let dir = std::env::temp_dir().join(format!(
+                "spnn-exec-{}-{}",
+                std::process::id(),
+                SCRATCH_SEQ.fetch_add(1, Ordering::Relaxed)
+            ));
+            let spec_path = dir.join("scenario.scn");
+            std::fs::create_dir_all(&dir)
+                .and_then(|()| std::fs::write(&spec_path, &spec_text))
+                .map_err(|e| ExecError::Spawn(format!("writing {}: {e}", spec_path.display())))?;
+            // Pre-warm an on-disk cache once in the parent (local peers
+            // already did, in `prepare`), so the children all load it.
+            if prep.is_none() && ctx.cache.dir().is_some() {
+                let _ = ctx.cache.get_or_train(spec, verbose);
+            }
+            Some(dir)
+        } else {
+            None
+        };
+
         let slices: Mutex<Vec<FleetSlice>> = Mutex::new(
-            spans
-                .iter()
-                .map(|&span| FleetSlice {
-                    span,
-                    started: Instant::now(),
-                    done: false,
-                    stolen: false,
+            (0..peers)
+                .map(|me| {
+                    let span = geometry
+                        .as_ref()
+                        .map(|rounds| weighted_span(rounds, &weights, me));
+                    let slice = match span {
+                        Some((lo, hi)) if !equal => Slice::Span { lo, hi },
+                        _ => Slice::Shard { shards, index: me },
+                    };
+                    FleetSlice {
+                        slice,
+                        span,
+                        started: Instant::now(),
+                        done: false,
+                        stolen: false,
+                    }
                 })
                 .collect(),
         );
         let tasks: Mutex<VecDeque<(usize, usize)>> = Mutex::new(VecDeque::new());
 
-        // Runs `[lo, hi)` on peer `me`: remote peers POST the span (with
-        // the usual retry rotation, starting at their own worker); local
-        // peers plan and execute the blocks in-process.
-        let dispatch_span =
-            |me: usize, (lo, hi): (usize, usize)| -> Result<PartialReport, String> {
-                if me < remote {
-                    let span = Slice::Span { lo, hi };
-                    self.dispatch(&spec_text, &fp, kernel, span, me, cancel, verbose, registry)
-                } else {
-                    let prep = prep.as_ref().expect("local peers prepared the scenario");
-                    let blocks = plan_span(&rounds_per_point, lo, hi);
-                    execute_partial(prep, &local_config, (peers, me), &blocks, Some(cancel))
-                        .map_err(|e| format!("local peer {me}: {e}"))
-                }
-            };
+        // Runs `slice` on peer `me`: remote peers POST it (with the usual
+        // retry rotation, starting at their own worker), child peers run
+        // it as a process, local peers plan and execute its blocks
+        // in-process.
+        let dispatch_slice = |me: usize, slice: Slice| -> Result<PartialReport, String> {
+            if me < remote {
+                self.dispatch(
+                    &spec_text, &fp, kernel, slice, me, cancel, verbose, registry,
+                )
+            } else if me < remote + children {
+                let dir = work_dir.as_deref().expect("child peers have a scratch dir");
+                run_child(&self.child_exe, dir, slice, threads, ctx)
+                    .map_err(|e| format!("{slice}: {e}"))
+            } else {
+                let prep = prep.as_ref().expect("local peers prepared the scenario");
+                let rounds = geometry.as_deref().expect("prepared geometry");
+                let (lo, hi) = slice
+                    .resolve(rounds.iter().sum())
+                    .map_err(|e| format!("local peer {me}: {e}"))?;
+                let blocks = plan_span(rounds, lo, hi);
+                execute_partial(prep, &local_config, slice.header(), &blocks, Some(cancel))
+                    .map_err(|e| format!("local peer {me}: {e}"))
+            }
+        };
 
         // Pops a stolen sub-span, or claims the slowest outstanding
         // slice and splits its whole span across the fleet. The victim
@@ -1365,14 +1309,15 @@ impl RemoteExecutor {
             }
             let (victim, lo, hi) = {
                 let mut held = slices.lock().expect("fleet slice lock");
-                let victim = held
+                let (victim, (lo, hi)) = held
                     .iter()
                     .enumerate()
-                    .filter(|(_, s)| !s.done && !s.stolen && s.span.0 < s.span.1)
-                    .min_by_key(|(_, s)| s.started)
-                    .map(|(i, _)| i)?;
+                    .filter(|(_, s)| !s.done && !s.stolen)
+                    .filter_map(|(i, s)| Some((i, s.span?, s.started)))
+                    .filter(|&(_, (lo, hi), _)| lo < hi)
+                    .min_by_key(|&(_, _, started)| started)
+                    .map(|(i, span, _)| (i, span))?;
                 held[victim].stolen = true;
-                let (lo, hi) = held[victim].span;
                 (victim, lo, hi)
             };
             let units = hi - lo;
@@ -1400,16 +1345,16 @@ impl RemoteExecutor {
         std::thread::scope(|scope| {
             for me in 0..peers {
                 let tx = tx.clone();
-                let (dispatch_span, next_task) = (&dispatch_span, &next_task);
+                let (dispatch_slice, next_task) = (&dispatch_slice, &next_task);
                 let slices = &slices;
-                let steal = self.steal;
                 scope.spawn(move || {
-                    let own = {
+                    let (own, empty) = {
                         let held = slices.lock().expect("fleet slice lock");
-                        held[me].span
+                        let own = &held[me];
+                        (own.slice, own.span.is_some_and(|(lo, hi)| lo >= hi))
                     };
-                    if own.0 < own.1 && !cancel.is_cancelled() {
-                        let result = dispatch_span(me, own);
+                    if !empty && !cancel.is_cancelled() {
+                        let result = dispatch_slice(me, own);
                         slices.lock().expect("fleet slice lock")[me].done = true;
                         let _ = tx.send(result);
                     } else {
@@ -1417,8 +1362,8 @@ impl RemoteExecutor {
                     }
                     if steal {
                         while !cancel.is_cancelled() {
-                            let Some(span) = next_task() else { break };
-                            let _ = tx.send(dispatch_span(me, span));
+                            let Some((lo, hi)) = next_task() else { break };
+                            let _ = tx.send(dispatch_slice(me, Slice::Span { lo, hi }));
                         }
                     }
                 });
@@ -1427,7 +1372,9 @@ impl RemoteExecutor {
             for result in rx {
                 match result {
                     Ok(partial) => {
-                        let _ = deliver(partial);
+                        if !deliver(partial) {
+                            failures.push("a partial was rejected by the merge".to_string());
+                        }
                     }
                     Err(e) => failures.push(e),
                 }
@@ -1437,42 +1384,38 @@ impl RemoteExecutor {
             crate::runner::persist_context(ctx.cache, prep, verbose);
         }
 
-        if ctx.cancel.is_cancelled() {
-            // Cancellation aborts in-flight dispatches mid-read; their
-            // failures are expected, and the driver decides whether the
-            // merge completed first (early completion) or not.
+        // Cancellation aborts in-flight dispatches mid-read; their
+        // failures are expected, and the driver decides whether the
+        // merge completed first (early completion) or not.
+        let cancelled = ctx.cancel.is_cancelled();
+        if let Some(dir) = &work_dir {
+            if failures.is_empty() || cancelled {
+                let _ = std::fs::remove_dir_all(dir);
+            } else {
+                // The caller may surface a more specific (e.g. merge)
+                // error instead of this one; the scratch location must
+                // not get lost with it.
+                tevent!(
+                    Level::Warn,
+                    "exec",
+                    "shard scratch kept for inspection",
+                    dir = &dir.display().to_string(),
+                );
+                failures.push(format!(
+                    "shard scratch kept for inspection: {}",
+                    dir.display()
+                ));
+            }
+        }
+        if cancelled {
             Err(ExecError::Cancelled)
         } else if failures.is_empty() {
             Ok(())
+        } else if work_dir.is_some() {
+            Err(ExecError::Spawn(failures.join("; ")))
         } else {
             Err(ExecError::Remote(failures.join("; ")))
         }
-    }
-}
-
-impl Executor for RemoteExecutor {
-    fn name(&self) -> &'static str {
-        match (self.workers.len(), self.local_peers) {
-            (0, _) => "local",
-            (_, 0) => "remote",
-            _ => "fleet",
-        }
-    }
-
-    fn execute(
-        &self,
-        spec: &ScenarioSpec,
-        shards: usize,
-        ctx: &ExecContext<'_>,
-        deliver: &mut dyn FnMut(PartialReport) -> bool,
-    ) -> Result<(), ExecError> {
-        if self.peers() == 0 {
-            return Err(ExecError::Remote("no workers configured".into()));
-        }
-        if self.is_plain_remote() {
-            return self.execute_equal(spec, shards, ctx, deliver);
-        }
-        self.execute_fleet(spec, shards, ctx, deliver)
     }
 }
 

@@ -54,10 +54,10 @@
 //!   (`spnn merge`) validates coverage and recombines them into a report
 //!   **bit-identical** to the unsharded run — enforced by CI on every
 //!   push.
-//! - [`exec`] — the Executor layer: [`exec::SpawnExecutor`] (child
-//!   processes) and [`exec::RemoteExecutor`] (worker `spnn serve`
-//!   instances over `POST /shard`, with retry-on-another-worker, plus
-//!   in-process local peers) behind one trait;
+//! - [`exec`] — the Executor layer: [`exec::RemoteExecutor`] runs one
+//!   slice per peer in one loop — worker `spnn serve` instances over
+//!   `POST /shard` (with retry-on-another-worker), `spnn run` child
+//!   processes, and in-process local peers — behind one trait;
 //!   [`exec::run_distributed`] merges partials **as they arrive**
 //!   through [`shard::MergeState`] and streams rows in prefix order —
 //!   byte-identical to the unsharded run for every executor.
@@ -142,7 +142,7 @@ pub use cache::{ContextCache, Fingerprint, TrainedContext};
 pub use estimator::{StopRule, Welford};
 pub use exec::{
     run_distributed, BreakerConfig, BreakerState, CancelToken, DistError, ExecContext, ExecError,
-    Executor, RemoteExecutor, SpawnExecutor, WeightSource, WorkerBreakers,
+    Executor, RemoteExecutor, WeightSource, WorkerBreakers,
 };
 pub use metrics::{histogram_quantile, Counter, FloatGauge, Gauge, Histogram, MetricsRegistry};
 pub use queue::WorkItem;
@@ -168,8 +168,7 @@ pub mod prelude {
     pub use crate::cache::{ContextCache, Fingerprint};
     pub use crate::estimator::{StopRule, Welford};
     pub use crate::exec::{
-        run_distributed, CancelToken, ExecContext, Executor, RemoteExecutor, SpawnExecutor,
-        WeightSource,
+        run_distributed, CancelToken, ExecContext, Executor, RemoteExecutor, WeightSource,
     };
     pub use crate::metrics::MetricsRegistry;
     pub use crate::presets;

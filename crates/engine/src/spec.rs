@@ -545,6 +545,15 @@ impl ScenarioSpec {
         if self.train.layers.len() < 2 {
             return Err("layers must list at least input and output widths".into());
         }
+        // The feature extractor panics outside this range, and the
+        // square below must not overflow.
+        let side = spnn_dataset::IMAGE_SIDE;
+        if !(1..=side).contains(&self.dataset.crop) {
+            return Err(format!("crop must be in 1..={side}"));
+        }
+        if self.train.batch_size == 0 {
+            return Err("batch_size must be positive".into());
+        }
         let d = self.dataset.crop * self.dataset.crop;
         if self.train.layers[0] != d {
             return Err(format!(
@@ -830,6 +839,18 @@ mod tests {
         assert!(spec.validate().unwrap_err().contains("crop"));
         spec.train.layers = vec![16, 8];
         assert!(spec.validate().unwrap_err().contains("10"));
+        // crop beyond the image side (with a matching first layer), zero,
+        // or large enough to overflow crop² is rejected before it panics.
+        for crop in [29, 0, usize::MAX] {
+            let mut spec = ScenarioSpec::default();
+            spec.dataset.crop = crop;
+            spec.train.layers = vec![crop.wrapping_mul(crop), 10];
+            assert!(spec.validate().unwrap_err().contains("crop"), "crop {crop}");
+        }
+        let mut spec = ScenarioSpec::default();
+        spec.dataset.crop = spnn_dataset::IMAGE_SIDE;
+        spec.train.layers = vec![spnn_dataset::IMAGE_SIDE.pow(2), 10];
+        assert_eq!(spec.validate(), Ok(()));
     }
 
     #[test]
@@ -843,6 +864,9 @@ mod tests {
         let mut spec = ScenarioSpec::default();
         spec.sweep.sigmas = vec![-0.1];
         assert!(spec.validate().is_err());
+        let mut spec = ScenarioSpec::default();
+        spec.train.batch_size = 0;
+        assert!(spec.validate().unwrap_err().contains("batch_size"));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Executor-layer integration tests: the acceptance guarantee is that
-//! in-process local peers, `SpawnExecutor`, and `RemoteExecutor` all drive the
-//! same `run_distributed` merge path and produce reports **byte-for-byte
+//! in-process local peers, child-process peers, and remote workers all drive
+//! the same `run_distributed` merge path and produce reports **byte-for-byte
 //! identical** to the unsharded `spnn run` — including when a remote
 //! worker is dead or fails mid-response and its shard is retried on
 //! another worker — and that rows stream in strict prefix order while
@@ -10,8 +10,7 @@ mod common;
 
 use common::{dead_addr, flaky_addr, start_server, Fault, FaultWorker};
 use spnn_engine::exec::{
-    run_distributed, CancelToken, ExecContext, ExecError, Executor, RemoteExecutor, SpawnExecutor,
-    WeightSource,
+    run_distributed, CancelToken, ExecContext, ExecError, Executor, RemoteExecutor, WeightSource,
 };
 use spnn_engine::prelude::*;
 use spnn_engine::runner::StreamEvent;
@@ -94,9 +93,9 @@ fn local_executor_is_byte_identical() {
 #[test]
 fn spawn_executor_is_byte_identical() {
     let spec = tiny_fig4();
-    let executor = SpawnExecutor {
-        exe: PathBuf::from(env!("CARGO_BIN_EXE_spnn")),
-    };
+    let executor =
+        RemoteExecutor::new(vec![]).with_child_peers(PathBuf::from(env!("CARGO_BIN_EXE_spnn")), 3);
+    assert_eq!(executor.name(), "spawn");
     let report = distribute(&spec, &executor, 3);
     assert_matches_unsharded(&spec, &report, "spawn k=3");
 }
@@ -351,4 +350,183 @@ fn mid_response_stall_recovers_and_stays_byte_identical() {
     let workers = vec![chaos.url(), format!("http://{}", start_worker())];
     let report = distribute(&spec, &RemoteExecutor::new(workers), 2);
     assert_matches_unsharded(&spec, &report, "remote with mid-response stall");
+}
+
+// ---------------------------------------------------------------------------
+// One peer loop: zonal specs and child peers
+// ---------------------------------------------------------------------------
+
+/// A zonal spec has no statically derivable queue length, so a
+/// pure-remote plan asking for weights or stealing falls back to equal
+/// shards; local peers read the geometry off the prepared queue. Every
+/// peer mix is byte-identical to the unsharded run.
+#[test]
+fn zonal_spec_is_byte_identical_through_every_peer_kind() {
+    let spec = common::tiny_fig5();
+    let workers: Vec<String> = (0..3)
+        .map(|_| format!("http://{}", start_worker()))
+        .collect();
+    let exe = PathBuf::from(env!("CARGO_BIN_EXE_spnn"));
+    let plans = [
+        ("plain remote", RemoteExecutor::new(workers.clone())),
+        (
+            "remote, steal + static weights",
+            RemoteExecutor::new(workers.clone())
+                .with_steal(true)
+                .with_weights(WeightSource::Static(vec![3, 1, 2])),
+        ),
+        (
+            "1 remote + 2 local",
+            RemoteExecutor::new(workers[..1].to_vec()).with_local_peers(2),
+        ),
+        (
+            "3 child peers",
+            RemoteExecutor::new(vec![]).with_child_peers(exe, 3),
+        ),
+    ];
+    for (what, executor) in plans {
+        let report = distribute(&spec, &executor, 3);
+        assert_matches_unsharded(&spec, &report, &format!("zonal, {what}"));
+    }
+}
+
+/// A fleet runs one slice per peer: any other shard count is a typed
+/// `Invalid` error before anything is dispatched, and so is a child peer
+/// asked to steal or to take a weighted slice.
+#[test]
+fn fleet_rejects_plans_it_cannot_run() {
+    let spec = tiny_fig4();
+    let config = EngineConfig::default();
+    let cache = ContextCache::in_memory();
+    let cancel = CancelToken::new();
+    let ctx = ExecContext {
+        config: &config,
+        cache: &cache,
+        cancel: &cancel,
+    };
+    let exe = PathBuf::from(env!("CARGO_BIN_EXE_spnn"));
+    let dead = format!("http://{}", dead_addr());
+    let cases = [
+        (RemoteExecutor::new(vec![dead.clone()]), 2, "2 shard(s)"),
+        (
+            RemoteExecutor::new(vec![dead]).with_local_peers(1),
+            7,
+            "2 peer(s)",
+        ),
+        (
+            RemoteExecutor::new(vec![])
+                .with_child_peers(exe.clone(), 2)
+                .with_steal(true),
+            2,
+            "equal shards only",
+        ),
+        (
+            RemoteExecutor::new(vec![])
+                .with_child_peers(exe, 2)
+                .with_weights(WeightSource::Static(vec![1, 2])),
+            2,
+            "equal shards only",
+        ),
+    ];
+    for (executor, shards, message) in cases {
+        let err = executor
+            .execute(&spec, shards, &ctx, &mut |_| true)
+            .expect_err("the plan must be rejected");
+        assert!(
+            matches!(
+                err,
+                ExecError::Engine(spnn_engine::runner::EngineError::Invalid(_))
+            ),
+            "{err}"
+        );
+        assert!(err.to_string().contains(message), "{err}");
+    }
+}
+
+/// Writes an executable shell script standing in for the `spnn` binary.
+#[cfg(unix)]
+fn stand_in_exe(dir: &std::path::Path, body: &str) -> PathBuf {
+    use std::os::unix::fs::PermissionsExt as _;
+    let path = dir.join("spnn-stand-in.sh");
+    std::fs::write(&path, format!("#!/bin/sh\n{body}\n")).expect("write script");
+    std::fs::set_permissions(&path, std::fs::Permissions::from_mode(0o755)).expect("chmod");
+    path
+}
+
+/// A failing child fails the run with its exit status, and the scratch
+/// directory (spec and partials) is kept and named for inspection.
+#[cfg(unix)]
+#[test]
+fn failing_child_peer_names_its_status_and_keeps_the_scratch_dir() {
+    let scratch = common::Scratch::new("child-fails");
+    let exe = stand_in_exe(&scratch.0, "exit 1");
+    let config = EngineConfig::default();
+    let cache = ContextCache::in_memory();
+    let cancel = CancelToken::new();
+    let ctx = ExecContext {
+        config: &config,
+        cache: &cache,
+        cancel: &cancel,
+    };
+    let executor = RemoteExecutor::new(vec![]).with_child_peers(exe, 2);
+    let err = executor
+        .execute(&tiny_fig4(), 2, &ctx, &mut |_| true)
+        .expect_err("a failing child fails the run");
+    let message = err.to_string();
+    assert!(matches!(err, ExecError::Spawn(_)), "{message}");
+    assert!(message.contains("exit status: 1"), "{message}");
+    let kept = message
+        .split("shard scratch kept for inspection: ")
+        .nth(1)
+        .map(PathBuf::from)
+        .unwrap_or_else(|| panic!("no scratch dir named: {message}"));
+    assert!(kept.join("scenario.scn").is_file(), "{}", kept.display());
+    std::fs::remove_dir_all(&kept).expect("remove kept scratch dir");
+}
+
+/// Cancelling the token kills and reaps a child that would run for 30 s:
+/// the executor returns `Cancelled` promptly.
+#[cfg(unix)]
+#[test]
+fn cancelled_child_peer_is_killed_and_reaped() {
+    let scratch = common::Scratch::new("child-cancel");
+    let pid_file = scratch.path("pid");
+    // `exec` makes the sleeping process the child itself.
+    let exe = stand_in_exe(
+        &scratch.0,
+        &format!("echo $$ > {}\nexec sleep 30", pid_file.display()),
+    );
+    let config = EngineConfig::default();
+    let cache = ContextCache::in_memory();
+    let cancel = CancelToken::new();
+    let ctx = ExecContext {
+        config: &config,
+        cache: &cache,
+        cancel: &cancel,
+    };
+    let executor = RemoteExecutor::new(vec![]).with_child_peers(exe, 1);
+    let start = std::time::Instant::now();
+    let result = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            while !pid_file.exists() && start.elapsed() < Duration::from_secs(5) {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            std::thread::sleep(Duration::from_millis(200));
+            cancel.cancel();
+        });
+        executor.execute(&tiny_fig4(), 1, &ctx, &mut |_| true)
+    });
+    assert!(matches!(result, Err(ExecError::Cancelled)), "{result:?}");
+    assert!(
+        start.elapsed() < Duration::from_secs(5),
+        "cancellation took {:?}",
+        start.elapsed()
+    );
+    let pid = std::fs::read_to_string(&pid_file).expect("the child wrote its pid");
+    let alive = std::process::Command::new("kill")
+        .args(["-0", pid.trim()])
+        .stderr(std::process::Stdio::null())
+        .status()
+        .expect("run kill -0");
+    assert!(!alive.success(), "child {} was not reaped", pid.trim());
 }

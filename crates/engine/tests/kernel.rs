@@ -14,9 +14,7 @@
 mod common;
 
 use common::start_server;
-use spnn_engine::exec::{
-    run_distributed, CancelToken, ExecContext, Executor, RemoteExecutor, SpawnExecutor,
-};
+use spnn_engine::exec::{run_distributed, CancelToken, ExecContext, Executor, RemoteExecutor};
 use spnn_engine::prelude::*;
 use spnn_engine::{queue_fingerprint_with, KernelProfile};
 use std::path::PathBuf;
@@ -143,18 +141,20 @@ fn every_executor_is_byte_identical_under_fma() {
     let local = distribute(&spec, &local_peers, 2, KernelProfile::Fma);
     assert_eq!(to_json(&local), expected, "local executor");
 
-    let spawn = SpawnExecutor {
-        exe: PathBuf::from(env!("CARGO_BIN_EXE_spnn")),
-    };
+    let spawn =
+        RemoteExecutor::new(vec![]).with_child_peers(PathBuf::from(env!("CARGO_BIN_EXE_spnn")), 2);
     let spawned = distribute(&spec, &spawn, 2, KernelProfile::Fma);
     assert_eq!(to_json(&spawned), expected, "spawn executor");
 
     // The worker serves with the *reference* default; only the
     // coordinator asks for fma. A worker that ignored the query
     // parameter would return a foreign (reference) fingerprint and be
-    // rejected, so success here proves the override is honored.
-    let worker = start_server(2);
-    let remote = RemoteExecutor::new([format!("http://{worker}")]);
+    // rejected, so success here proves the override is honored. Two
+    // workers, because the fleet runs one shard per peer.
+    let remote = RemoteExecutor::new([
+        format!("http://{}", start_server(2)),
+        format!("http://{}", start_server(2)),
+    ]);
     let report = distribute(&spec, &remote, 2, KernelProfile::Fma);
     assert_eq!(to_json(&report), expected, "remote executor");
 }

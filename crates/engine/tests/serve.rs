@@ -317,6 +317,27 @@ fn malformed_spec_is_rejected_with_400() {
     assert!(stats.contains("\"trains\": 0"), "{stats}");
 }
 
+/// Specs that parse but would panic mid-run (a crop beyond the image
+/// side, a zero batch size) are rejected with 400 by validation, so they
+/// never reach — and never kill — a pool thread: a one-thread server
+/// still answers `/healthz` afterwards.
+#[test]
+fn specs_that_would_panic_are_rejected_with_400() {
+    let addr = start_server(1);
+    let mut crop = tiny_fig4();
+    crop.dataset.crop = 29;
+    crop.train.layers = vec![29 * 29, 10];
+    let mut batch = tiny_fig4();
+    batch.train.batch_size = 0;
+    for (spec, message) in [(crop, "crop must be in 1..=28"), (batch, "batch_size")] {
+        let (status, body) = post_run(addr, &spec.to_text());
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains(message), "{body}");
+    }
+    let (status, health) = http(addr, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+    assert_eq!(status, 200, "{health}");
+}
+
 /// The worker endpoint: `POST /shard?shards=K&index=I` returns exactly
 /// the partial report `spnn run --shards K --shard-index I` computes —
 /// the three shards merge into a report byte-identical to the batch run.
@@ -934,6 +955,19 @@ fn spawn_flag_validation() {
     let out = spnn(&["run", spec, "--shards", "2"]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--shard-index (or --spawn)"));
+
+    // A fleet runs one shard per peer: an explicit --shards must match.
+    let out = spnn(&[
+        "run",
+        spec,
+        "--workers",
+        "http://127.0.0.1:9",
+        "--shards",
+        "2",
+    ]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("peer count 1"), "{stderr}");
 }
 
 // ---------------------------------------------------------------------------
